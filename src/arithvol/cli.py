@@ -21,9 +21,8 @@ import numpy as np
 from . import oracle, zariski
 from .divisor import (BaseCondition, ToricArithDivisor, canonical_divisor,
                       concave_transform, divisor_from_record, divisor_record,
-                      filtration_summary, is_big, mu_R,
-                      mu_monotone_continuity_profile, profile_lipschitz,
-                      multiplicity_law_suite, vol_hat, vol_hat_base)
+                      filtration_summary, mu_R, mu_monotone_continuity_profile,
+                      profile_lipschitz, multiplicity_law_suite, vol_hat, vol_hat_base)
 from .errors import (ArithvolError, BignessRequiredError, InfeasibleError,
                      InputError, ToleranceError)
 from .okounkov import full_series, identity_flag, okounkov_body, semigroup_points
@@ -75,7 +74,21 @@ def _parse_mu(text: str) -> BaseCondition:
             "fiber": "fiber", "f": "fiber"}.get(kind)
     if kind is None:
         raise InputError(f"unknown center kind in {text!r}")
-    return BaseCondition(kind=kind, index=int(idx), bound=float(value))
+    try:
+        return BaseCondition(kind=kind, index=int(idx), bound=float(value))
+    except ValueError:
+        raise InputError(f"--mu expects an integer index and a number, got {text!r}") from None
+
+
+def _parse_list(text: str, flag: str, convert, sep: str = ",", count=None) -> list:
+    """Split a flag value and convert each field; malformed values are input errors."""
+    try:
+        values = [convert(t) for t in text.split(sep)]
+    except ValueError:
+        raise InputError(f"{flag}: cannot parse {text!r}") from None
+    if count is not None and len(values) != count:
+        raise InputError(f"{flag} expects {count} values separated by {sep!r}, got {text!r}")
+    return values
 
 
 def _load_divisor(path: str) -> ToricArithDivisor:
@@ -101,7 +114,7 @@ def _transform_table(dv: ToricArithDivisor, grid: int):
     lo = float(dv.body().vertices[:, 0].min())
     hi = float(dv.body().vertices[:, 0].max())
     xs = np.linspace(lo, hi, grid)
-    return [(x, float(transform(float(x)))) for x in xs]
+    return list(zip(xs, transform(xs)))
 
 
 def run(args) -> int:
@@ -160,7 +173,7 @@ def run(args) -> int:
     elif args.command == "mu-profile":
         if not conditions:
             raise InputError("the mu-profile command needs a --mu center")
-        lo, hi = (float(t) for t in args.twist_range.split(":"))
+        lo, hi = _parse_list(args.twist_range, "--twist-range", float, ":", 2)
         grid = np.linspace(lo, hi, min(args.grid, 501))
         profile = mu_monotone_continuity_profile(dv, grid, conditions[0])
         result["method"] = _method_tag(dv)
@@ -192,7 +205,7 @@ def run(args) -> int:
             raise ToleranceError("decomposition verification failed")
 
     elif args.command == "oracle-check":
-        levels = [int(t) for t in args.levels.split(",")] if args.levels else [50, 100, 200]
+        levels = _parse_list(args.levels, "--levels", int) if args.levels else [50, 100, 200]
         target = vol_hat(dv)
         rows = []
         for n in levels:

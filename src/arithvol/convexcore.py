@@ -21,6 +21,7 @@ threads; nothing here mutates shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -482,6 +483,55 @@ def constrained_convex_minorant(u: GridConvexFunction, slope_lo: float, slope_hi
         h = h_new
     return GridConvexFunction(axes=(s,), values=np.minimum(h, u.values),
                               recession=((lo, hi),))
+
+
+# ---------------------------------------------------------------------------
+# line search
+# ---------------------------------------------------------------------------
+
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fun: Callable, lo, hi, xtol: float = 1e-10, iters: int = 90):
+    """Golden-section maximization of a unimodal ``fun`` on ``[lo, hi]``, elementwise.
+
+    ``lo`` and ``hi`` are scalars or arrays of one shape; ``fun`` maps points
+    of that shape to values of that shape, one bracket per element.  Returns
+    ``(x, f)``, the best evaluated point and value per bracket, both
+    endpoints included.  Each step evaluates ``fun`` once on all brackets; a
+    bracket stops moving once it is narrower than the absolute ``xtol``, so
+    every element gets exactly the result of a search on its bracket alone.
+    The search ends when all brackets have stopped or after ``iters`` steps.
+    Scalar brackets are searched with Python floats, which ``fun`` receives,
+    so a scalar search pays no per-step numpy overhead.
+    """
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        a, b, live, any_live = float(lo), float(hi), True, bool
+        pick = lambda mask, p, q: p if mask else q
+    else:
+        a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        live, pick, any_live = np.ones(a.shape, dtype=bool), np.where, np.any
+    c = b - _PHI * (b - a)
+    d = a + _PHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    best_x, best_f = pick(fc >= fd, c, d), pick(fc >= fd, fc, fd)
+    for x in (a, b):
+        fx = fun(x)
+        best_x, best_f = pick(fx > best_f, x, best_x), pick(fx > best_f, fx, best_f)
+    for _ in range(iters):
+        right = live & (fc < fd)           # keep [c, b]: the new point lies right of d
+        left = live ^ right                # keep [a, d]: the new point lies left of c
+        a, b = pick(right, c, a), pick(left, d, b)
+        x = pick(right, a + _PHI * (b - a), b - _PHI * (b - a))
+        fx = fun(x)
+        c, d, fc, fd = (pick(right, d, pick(left, x, c)), pick(right, x, pick(left, c, d)),
+                        pick(right, fd, pick(left, fx, fc)), pick(right, fx, pick(left, fc, fd)))
+        better = live & (fx > best_f)
+        best_x, best_f = pick(better, x, best_x), pick(better, fx, best_f)
+        live &= b - a >= xtol
+        if not any_live(live):
+            break
+    return best_x, best_f
 
 
 # ---------------------------------------------------------------------------

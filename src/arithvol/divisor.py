@@ -33,8 +33,7 @@ from scipy.optimize import brentq
 
 from . import convexcore
 from .convexcore import (GridConvexFunction, Polytope, Region, full_region,
-                         grid_function_from_callable, integrate_positive_part,
-                         legendre_conjugate, shifted_simplex)
+                         integrate_positive_part, legendre_conjugate, shifted_simplex)
 from .errors import (BignessRequiredError, InputError, OutOfRangeError,
                      RecessionError, UnsupportedCenterError)
 
@@ -208,12 +207,16 @@ def _potential_min(dv: ToricArithDivisor, grid: int = 2001) -> float:
 
 
 def _potential_values(dv: ToricArithDivisor, axes_or_grids):
+    """Untwisted potential ``u`` at broadcastable coordinate arrays ``(s_1, ..., s_d)``."""
     pot = dv.potential
     if isinstance(pot, CanonicalFamily):
         return pot.u(*axes_or_grids)
     if isinstance(pot, SumPotential):
         return sum(p.u(*axes_or_grids) for p in pot.parts)
-    raise InputError("no closed-form potential values for sampled divisors")
+    if dv.d == 1:
+        return pot.u(axes_or_grids[0])
+    pts = np.stack(np.broadcast_arrays(*axes_or_grids), axis=-1)
+    return pot.u(pts.reshape(-1, dv.d)).reshape(pts.shape[:-1])
 
 
 def sampled_from_divisor(dv: ToricArithDivisor, s_range: float = DEFAULT_S_RANGE,
@@ -341,7 +344,9 @@ class ConcaveTransform:
     """The concave transform G on the divisor body.
 
     Immutable; callable on points (scalar for d=1, pair for d=2, or arrays of
-    such).  ``closed_form`` reports whether evaluation is exact.
+    such).  ``closed_form`` reports whether evaluation is exact.  The
+    evaluator is batch-only, ``(N, d)`` points to ``(N,)`` values; the
+    scalar-or-array handling lives here.
     """
 
     def __init__(self, divisor: ToricArithDivisor, domain: Polytope,
@@ -356,7 +361,12 @@ class ConcaveTransform:
         self.grid_values = grid_values
 
     def __call__(self, x):
-        return self._eval(x)
+        x = np.asarray(x, dtype=float)
+        d = self.divisor.d
+        vals = self._eval(x.reshape(-1, d))
+        if x.ndim == (0 if d == 1 else 1):
+            return float(vals[0])
+        return vals.reshape(x.shape if d == 1 else x.shape[:-1])
 
     def max_value(self) -> float:
         pot = self.divisor.potential
@@ -383,13 +393,8 @@ class ConcaveTransform:
         return np.array([self.grid_axes[i][idx[i]] for i in range(len(idx))])
 
     def values_on(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.divisor.d == 1:
-            flat = np.atleast_1d(pts).ravel()
-            if isinstance(self.divisor.potential, SumPotential):
-                return np.asarray([self._eval(float(p)) for p in flat])
-            return np.asarray(self._eval(flat), dtype=float)
-        return np.asarray(self._eval(np.atleast_2d(pts)), dtype=float)
+        """Values at a flat batch of points, always an ``(N,)`` array."""
+        return self._eval(np.asarray(pts, dtype=float).reshape(-1, self.divisor.d))
 
 
 def _canonical_G(pot: CanonicalFamily, lam: float):
@@ -406,54 +411,33 @@ def _canonical_G(pot: CanonicalFamily, lam: float):
             total = total + _xlog(y[..., i - 1], a[i])
         return 0.5 * total
 
-    d = len(a) - 1
-
-    def G(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0 if d == 1 else x.ndim <= 1
-        pts = np.atleast_1d(x).reshape(-1, d)
+    def G(pts):
         y = (pts + shift) / scale
-        vals = scale * ent(y) + lam / 2.0
-        return float(vals[0]) if scalar else vals
+        return scale * ent(y) + lam / 2.0
 
     return G
 
 
 def _sum_G(pot: SumPotential, lam: float, d: int):
-    gs = [_canonical_G(p, 0.0) for p in pot.parts]
-    widths = [p.scale for p in pot.parts]
-    shifts = [np.asarray(p.shift) for p in pot.parts]
-
-    def G1(x):
-        x = float(np.asarray(x).reshape(-1)[0]) if np.ndim(x) else float(x)
-        # sup-convolution over the split of x between the parts (d = 1)
-        los = [-s[0] for s in shifts]
-        his = [w - s[0] for w, s in zip(widths, shifts)]
-        lo = max(los[0], x - sum(his[1:]))
-        hi = min(his[0], x - sum(los[1:]))
-        if hi < lo - 1e-12:
-            return -np.inf
-        if len(gs) != 2:
-            raise InputError("sum potentials support two parts")
-
-        def val(y):
-            return gs[0](float(y)) + gs[1](float(x - y))
-
-        a, b = lo, hi
-        for _ in range(120):
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            if val(m1) < val(m2):
-                a = m1
-            else:
-                b = m2
-            if b - a < 1e-13 * max(1.0, abs(a) + abs(b)):
-                break
-        return float(val((a + b) / 2)) + lam / 2.0
-
+    """Sup-convolution of two d = 1 canonical transforms, one line search per point."""
     if d != 1:
         raise InputError("sum-potential transforms implemented for d = 1")
-    return G1
+    gs = [_canonical_G(p, 0.0) for p in pot.parts]
+    los = [-p.shift[0] for p in pot.parts]
+    his = [p.scale - p.shift[0] for p in pot.parts]
+
+    def G(pts):
+        if len(gs) != 2:
+            raise InputError("sum potentials support two parts")
+        x = pts[:, 0]
+        # the first part takes y, the second x - y
+        lo = np.maximum(los[0], x - his[1])
+        hi = np.minimum(his[0], x - los[1])
+        val = lambda y: gs[0](y[:, None]) + gs[1]((x - y)[:, None])
+        _, best = convexcore.golden_max(val, lo, hi, xtol=1e-13)
+        return np.where(hi < lo - 1e-12, -np.inf, best + lam / 2.0)
+
+    return G
 
 
 def concave_transform(dv: ToricArithDivisor, resolution: Optional[int] = None) -> ConcaveTransform:
@@ -474,24 +458,14 @@ def concave_transform(dv: ToricArithDivisor, resolution: Optional[int] = None) -
     res = resolution or (DEFAULT_GRID_1D if dv.d == 1 else DEFAULT_GRID_2D)
     conj = legendre_conjugate(u, domain, resolution=res, refine=True)
     lam = dv.twist
+    gv = -0.5 * conj.values + lam / 2.0
     if dv.d == 1:
         ax = conj.axes[0]
-        gv = -0.5 * conj.values + lam / 2.0
-
-        def G(x):
-            return np.interp(np.asarray(x, dtype=float), ax, gv)
-
-        return ConcaveTransform(dv, domain, lambda x: float(G(x)) if np.ndim(x) == 0 else G(x),
+        return ConcaveTransform(dv, domain, lambda pts: np.interp(pts[:, 0], ax, gv),
                                 False, grid_axes=(ax,), grid_values=gv)
-    gv = -0.5 * conj.values + lam / 2.0
     from scipy.interpolate import RegularGridInterpolator
     itp = RegularGridInterpolator(conj.axes, gv, bounds_error=False, fill_value=None)
-
-    def G2(x):
-        out = itp(np.atleast_2d(np.asarray(x, dtype=float)))
-        return float(out[0]) if np.ndim(x) == 1 else out
-
-    return ConcaveTransform(dv, domain, G2, False, grid_axes=conj.axes, grid_values=gv)
+    return ConcaveTransform(dv, domain, itp, False, grid_axes=conj.axes, grid_values=gv)
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +622,11 @@ def admissible_monomials(dv: ToricArithDivisor, n: int) -> list:
         raise InputError("level must be >= 1")
     c = dv.coeffs
     lows = [math.ceil(-n * c[1 + i] - 1e-9) for i in range(dv.d)]
-    total = math.floor(n * c[0] + sum(n * c[1 + i] for i in range(dv.d)) + 1e-9)
-    out = []
     if dv.d == 1:
         hi = math.floor(n * c[0] + 1e-9)
-        return [(m,) for m in range(lows[0], hi + 1) if m >= lows[0]]
+        return [(m,) for m in range(lows[0], hi + 1)]
     ranges = [range(lows[i], int(math.floor(n * sum(c) + 1e-9)) + 1) for i in range(dv.d)]
+    out = []
     for m in itertools.product(*ranges):
         if sum(m) <= n * c[0] + 1e-9:
             out.append(m)
@@ -869,7 +842,6 @@ def multiplicity_law_suite(dv: ToricArithDivisor, ev: ToricArithDivisor,
         "ok": mu_sum <= mu_d + mu_e + tol,
         "lhs": mu_sum, "rhs": mu_d + mu_e}
 
-    bigger = add_divisors(dv, ev)   # dv <= bigger whenever ev is effective
     mult_diff = _center_multiplicity_of_divisor(ev, center)
     report["order"] = {
         "ok": (not is_effective(ev)) or mu_sum <= mu_d + mult_diff + tol,
@@ -939,6 +911,12 @@ def divisor_record(dv: ToricArithDivisor) -> dict:
     return {"d": dv.d, "coeffs": list(dv.coeffs), "potential": rec, "twist": dv.twist}
 
 
+def _canonical_from_record(pot: dict, d: int) -> CanonicalFamily:
+    return CanonicalFamily(a=tuple(float(x) for x in pot["a"]),
+                           scale=float(pot.get("scale", 1.0)),
+                           shift=tuple(float(x) for x in pot.get("shift", [0.0] * d)))
+
+
 def divisor_from_record(rec: dict) -> ToricArithDivisor:
     try:
         d = int(rec["d"])
@@ -949,17 +927,10 @@ def divisor_from_record(rec: dict) -> ToricArithDivisor:
         raise InputError(f"malformed divisor record: {exc}") from None
     twist = float(rec.get("twist", 0.0))
     if kind == "canonical":
-        fam = CanonicalFamily(a=tuple(float(x) for x in pot["a"]),
-                              scale=float(pot.get("scale", 1.0)),
-                              shift=tuple(float(x) for x in pot.get("shift", [0.0] * d)))
-        return make_divisor(d, coeffs, fam, twist)
+        return make_divisor(d, coeffs, _canonical_from_record(pot, d), twist)
     if kind == "sum":
-        parts = []
-        for p in pot["parts"]:
-            parts.append(CanonicalFamily(a=tuple(float(x) for x in p["a"]),
-                                         scale=float(p.get("scale", 1.0)),
-                                         shift=tuple(float(x) for x in p.get("shift", [0.0] * d))))
-        return make_divisor(d, coeffs, SumPotential(parts=tuple(parts)), twist)
+        parts = tuple(_canonical_from_record(p, d) for p in pot["parts"])
+        return make_divisor(d, coeffs, SumPotential(parts=parts), twist)
     if kind == "sampled":
         values = np.asarray(pot["values"], dtype=float)
         s_min, s_max = float(pot["s_min"]), float(pot["s_max"])

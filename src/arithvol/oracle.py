@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .convexcore import golden_max
 from .divisor import (BaseCondition, CanonicalFamily, ToricArithDivisor,
-                      admissible_monomials, log_sup_norm_monomial)
+                      _potential_values, admissible_monomials, log_sup_norm_monomial)
 from .errors import InputError
 
 _GUARD = 1e-9
@@ -189,26 +190,6 @@ def mu_Q_approx(dv: ToricArithDivisor, center: BaseCondition,
 # numeric sup-norms (independent of the conjugate formulas)
 # ---------------------------------------------------------------------------
 
-def _golden_max(fun, lo, hi, iters=200):
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        if b - a < 1e-13 * max(1.0, abs(a) + abs(b)):
-            break
-    return max(fc, fd)
-
-
 def sup_norm_numeric(dv: ToricArithDivisor, n: int, m: Sequence[int],
                      s_cap: float = 60.0) -> float:
     """Numeric maximization of ``|z^m|^2 e^{-n g}`` (returns the norm).
@@ -217,25 +198,21 @@ def sup_norm_numeric(dv: ToricArithDivisor, n: int, m: Sequence[int],
     exponents attain their supremum in the limit, approximated at the cap.
     """
     m = tuple(int(x) for x in np.atleast_1d(m))
-    pot = dv.potential
 
     def objective_1d(s):
-        u = float(_potential_of(dv, (s,)))
-        return m[0] * s - n * u - n * dv.twist
+        return m[0] * s - n * _potential_values(dv, (s,)) - n * dv.twist
 
     def objective_2d(s1, s2):
-        u = float(_potential_of(dv, (s1, s2)))
+        u = _potential_values(dv, (s1, s2))
         return m[0] * s1 + m[1] * s2 - n * u - n * dv.twist
 
     if dv.d == 1:
-        best = _golden_max(objective_1d, -s_cap, s_cap)
-        best = max(best, objective_1d(-s_cap), objective_1d(s_cap))
+        _, best = golden_max(objective_1d, -s_cap, s_cap, xtol=1e-12, iters=200)
         return math.exp(best / 2.0)
     # directional ascent over the box: the axis directions plus the diagonals,
     # which are the recession directions where boundary exponents ridge out
     directions = [np.array(v, dtype=float)
                   for v in ((1, 0), (0, 1), (1, 1), (1, -1))]
-    phi = (math.sqrt(5) - 1) / 2
     s = np.zeros(2)
     for _ in range(60):
         prev = s.copy()
@@ -251,18 +228,8 @@ def sup_norm_numeric(dv: ToricArithDivisor, n: int, m: Sequence[int],
             lo = max(b[0] for b in t_bounds)
             hi = min(b[1] for b in t_bounds)
             line = lambda t: objective_2d(s[0] + t * vec[0], s[1] + t * vec[1])
-            a, b = lo, hi
-            for _ in range(120):
-                c = b - phi * (b - a)
-                dd = a + phi * (b - a)
-                if line(c) < line(dd):
-                    a = c
-                else:
-                    b = dd
-                if b - a < 1e-13:
-                    break
-            t_best = (a + b) / 2
-            if line(t_best) > objective_2d(s[0], s[1]):
+            t_best, f_best = golden_max(line, lo, hi, xtol=1e-13, iters=120)
+            if f_best > objective_2d(s[0], s[1]):
                 s = s + t_best * vec
         if np.max(np.abs(s - prev)) < 1e-12:
             break
@@ -271,20 +238,6 @@ def sup_norm_numeric(dv: ToricArithDivisor, n: int, m: Sequence[int],
         for c2 in (-s_cap, s[1], s_cap):
             corners.append(objective_2d(c1, c2))
     return math.exp(max(corners) / 2.0)
-
-
-def _potential_of(dv: ToricArithDivisor, s):
-    pot = dv.potential
-    if isinstance(pot, CanonicalFamily):
-        return pot.u(*s)
-    from .divisor import SumPotential, SampledConvex
-    if isinstance(pot, SumPotential):
-        return sum(p.u(*s) for p in pot.parts)
-    if isinstance(pot, SampledConvex):
-        if dv.d == 1:
-            return pot.u(s[0])
-        return pot.u(np.asarray([s]))[0]
-    raise InputError("unknown potential")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +262,7 @@ def exact_ball_log_count(dv: ToricArithDivisor, n: int,
     theta = np.linspace(0.0, np.pi, theta_grid)   # conjugation symmetry
     r = np.exp(s / 2.0)
     z = r[:, None] * np.exp(1j * theta[None, :])
-    weight = np.exp(-n * (np.asarray(_potential_of(dv, (s,))) + dv.twist) / 2.0)
+    weight = np.exp(-n * (_potential_values(dv, (s,)) + dv.twist) / 2.0)
     basis = np.stack([(z ** k) * weight[:, None] for k in exps], axis=-1)
     basis = basis.reshape(-1, len(exps))
 

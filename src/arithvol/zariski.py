@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convexcore import (GridConvexFunction, Region, constrained_convex_minorant,
-                         convex_hull, integrate_positive_part,
+                         convex_hull, golden_max, integrate_positive_part,
                          legendre_conjugate, pl_positive_integral)
 from .divisor import (BaseCondition, ToricArithDivisor, concave_transform,
                       is_big, mu_R, principal_twist, sampled_from_divisor,
@@ -207,35 +207,6 @@ def _interval_vol(transform, a: float, b: float) -> float:
     return 2.0 * half * float(_GL_WEIGHTS @ vals)
 
 
-def _golden_max_scalar(fun, lo, hi, iters=90, xtol=1e-10):
-    """Golden-section maximizer returning the best evaluated point."""
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    for x, f in ((a, fun(a)), (b, fun(b))):
-        if f > best_f:
-            best_x, best_f = x, f
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-        else:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        if b - a < xtol:
-            break
-    return best_x, best_f
-
-
 def greatest_nef_minorant(dv: ToricArithDivisor, resolution: int = 2001,
                           tol: float = DEFAULT_VOL_TOL) -> Decomposition:
     """Unique Zariski decomposition of a big surface divisor.
@@ -280,10 +251,9 @@ def greatest_nef_minorant(dv: ToricArithDivisor, resolution: int = 2001,
             return _interval_vol(transform, lo, hi) - viol
 
         def best_inner(d0):
-            d1, val = _golden_max_scalar(lambda t: score(d0, t), 0.0, max(c0 - d0, 0.0))
-            return d1, val
+            return golden_max(lambda t: score(d0, t), 0.0, max(c0 - d0, 0.0))
 
-        delta0, _ = _golden_max_scalar(lambda t: best_inner(t)[1], 0.0, c0)
+        delta0, _ = golden_max(lambda t: best_inner(t)[1], 0.0, c0)
         delta1, _ = best_inner(delta0)
         if delta0 < 1e-7:
             delta0 = 0.0

@@ -1,11 +1,13 @@
 """Command-line interface: commands, records, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from arithvol.cli import main
@@ -142,6 +144,24 @@ class TestExitCodes:
         assert main(["--command", "vol-base", "--divisor", div22,
                      "--mu", "nope", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("mu", ["h:x:0", "h:1:abc"])
+    def test_validation_error_bad_mu_numbers(self, div22, tmp_path, mu, capsys):
+        assert main(["--command", "vol-base", "--divisor", div22,
+                     "--mu", mu, "--out", str(tmp_path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_validation_error_bad_levels(self, div22, tmp_path, capsys):
+        assert main(["--command", "oracle-check", "--divisor", div22,
+                     "--levels", "a,b", "--out", str(tmp_path)]) == 2
+        assert "--levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0:1:2", "0", "x:1"])
+    def test_validation_error_bad_twist_range(self, div_qtr2, tmp_path, window, capsys):
+        assert main(["--command", "mu-profile", "--divisor", div_qtr2,
+                     "--mu", "hyperplane:1:0", "--twist-range", window,
+                     "--out", str(tmp_path)]) == 2
+        assert "--twist-range" in capsys.readouterr().err
+
     def test_bigness_exit(self, div_nonbig, tmp_path):
         assert main(["--command", "mu", "--divisor", div_nonbig,
                      "--mu", "hyperplane:1:0", "--out", str(tmp_path)]) == 3
@@ -186,3 +206,91 @@ class TestDeterminismAndRoundTrip:
         dv1 = divisor_from_record(echoed)
         dv2 = divisor_from_record(original)
         assert dv1 == dv2
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: numbers at the CLI's 12 significant digits, files by hash
+#
+# Refactors must leave CLI outputs byte-identical; a change that moves any of
+# these values changes what users get and must update them on purpose.
+# ---------------------------------------------------------------------------
+
+def _canonical_record(a, twist=0.0):
+    return {"d": len(a) - 1, "coeffs": [1.0] + [0.0] * (len(a) - 1),
+            "potential": {"kind": "canonical", "a": list(a)}, "twist": twist}
+
+
+def _sampled_record(a, n=1001, s_range=40.0):
+    """Grid sample of ``log(a_0 + a_1 e^s)`` built with numpy alone."""
+    s = np.linspace(-s_range, s_range, n)
+    values = np.logaddexp(math.log(a[0]), math.log(a[1]) + s)
+    return {"d": 1, "coeffs": [1.0, 0.0],
+            "potential": {"kind": "sampled", "s_min": -s_range, "s_max": s_range,
+                          "values": values.tolist()},
+            "twist": 0.0}
+
+
+_SUM_RECORD = {"d": 1, "coeffs": [2.0, 0.0],
+               "potential": {"kind": "sum", "parts": [
+                   {"kind": "canonical", "a": [0.25, 2.0]},
+                   {"kind": "canonical", "a": [2.0, 0.25]}]},
+               "twist": 0.0}
+
+PINNED_REQUESTS = {
+    "canonical_d1_vol": (_canonical_record([0.25, 2.0]), ["--command", "vol"]),
+    "canonical_d2_vol": (_canonical_record([0.5, 1.0, 1.5]), ["--command", "vol"]),
+    "sum_vol": (_SUM_RECORD, ["--command", "vol", "--grid", "11"]),
+    "sampled_vol": (_sampled_record([0.25, 2.0]), ["--command", "vol"]),
+    "sampled_mu": (_sampled_record([0.25, 2.0]),
+                   ["--command", "mu", "--mu", "hyperplane:1:0"]),
+    "sampled_e_range": (_sampled_record([0.25, 2.0]),
+                        ["--command", "e-range", "--level", "20"]),
+    "zariski": (_canonical_record([0.25, 2.0]), ["--command", "zariski"]),
+}
+
+_INPUT_KEYS = ("command", "divisor", "seed", "grid", "tol")
+
+
+def pinned_outputs(name, tmp_path):
+    """Run one pinned request; results.json fields as 12-digit strings, files by SHA-256."""
+    record, flags = PINNED_REQUESTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(record))
+    out = tmp_path / name
+    assert main(flags + ["--divisor", str(path), "--out", str(out)]) == 0
+    fields = {k: (f"{v:.12g}" if isinstance(v, float) else v)
+              for k, v in read_results(str(out)).items() if k not in _INPUT_KEYS}
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in ("transform.tsv", "zariski_report.json") if (out / f).exists()}
+    return fields, digests
+
+
+PINNED = {
+    "canonical_d1_vol": (
+        {"method": "closed-form+quadrature", "value": "0.362987574374"},
+        {"transform.tsv": "538ff25520c7962c9d44fe1bd55e2ed1041c30371cb88ffa27805669ace8ad60"}),
+    "canonical_d2_vol": (
+        {"method": "closed-form+quadrature", "value": "1.11456440977"}, {}),
+    "sum_vol": (
+        {"method": "closed-form+quadrature", "value": "1.84517097926"},
+        {"transform.tsv": "9dbcee3ea6288bf3eb1bb23f0dee3d5600178d233683fc34633ffe555b4b419c"}),
+    "sampled_vol": (
+        {"method": "grid+quadrature", "value": "0.362987342567"},
+        {"transform.tsv": "10a9486947ad32ceee73399b77465e107f83d46b036713df91790341dfb841cc"}),
+    "sampled_mu": (
+        {"method": "grid+quadrature", "value": "0.354105625487", "center": ["hyperplane", 1]},
+        {}),
+    "sampled_e_range": (
+        {"method": "grid+quadrature", "level": 20, "e_min": "-13.8629436112",
+         "e_max": "8.10283705223", "growth_constant": "1.4054650138"},
+        {}),
+    "zariski": (
+        {"method": "golden-section+minorant", "pass": True,
+         "vol_input": "0.362987574374", "vol_positive": "0.362995391962"},
+        {"zariski_report.json": "2fda3f5980dff3d74f45697f22e2a014092eab3aed47158c8d7d4b70ec5f8892"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REQUESTS))
+def test_pinned_outputs(name, tmp_path):
+    assert pinned_outputs(name, tmp_path) == PINNED[name]

@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 
 from arithvol.convexcore import (GridConvexFunction, Region, conjugate_value,
                                  constrained_convex_minorant, convex_hull,
-                                 full_region, grid_function_from_callable,
+                                 full_region, golden_max,
+                                 grid_function_from_callable,
                                  integrate_positive_part, legendre_conjugate,
                                  shifted_simplex, sliced_interior_nonempty,
                                  sliced_interior_witness)
@@ -269,6 +270,62 @@ class TestQuadrature:
         v1 = integrate_positive_part(entropy, region, rel_tol=1e-9)
         v2 = integrate_positive_part(entropy, region, rel_tol=1e-11)
         assert abs(v1 - v2) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# line search
+# ---------------------------------------------------------------------------
+
+class TestGoldenMax:
+    def test_concave_quadratic_argmax(self):
+        for center in (-3.7, 0.0, 0.3, 12.5):
+            x, f = golden_max(lambda t: 2.0 - (t - center) ** 2, -20.0, 20.0)
+            # f is flat to rounding within ~sqrt(eps) of the argmax
+            assert x == pytest.approx(center, abs=1e-7)
+            assert f == pytest.approx(2.0, abs=1e-15)
+
+    def test_array_brackets(self):
+        centers = np.array([0.1, -2.0, 5.5, 0.75])
+        lo = np.array([-1.0, -3.0, 0.0, 0.5])
+        hi = np.array([1.0, 4.0, 9.0, 0.8])
+        calls = []
+
+        def fun(t):
+            calls.append(np.shape(t))
+            return -3.0 * np.abs(t - centers) + centers
+
+        x, f = golden_max(fun, lo, hi)
+        assert x.shape == f.shape == (4,)
+        assert np.allclose(x, centers, atol=1e-9)
+        assert np.allclose(f, centers, atol=1e-8)
+        assert set(calls) == {(4,)}
+        for k in range(4):   # elementwise: each bracket searched as if alone
+            xk, fk = golden_max(lambda t: -3.0 * abs(t - centers[k]) + centers[k],
+                                lo[k], hi[k])
+            assert (xk, fk) == (x[k], f[k])
+
+    def test_maximum_at_endpoint(self):
+        x, f = golden_max(lambda t: -t, 0.0, 1.0)
+        assert (x, f) == (0.0, 0.0)
+        x, f = golden_max(lambda t: np.sqrt(t), np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+        assert x.tolist() == [1.0, 3.0]
+        assert f.tolist() == [1.0, math.sqrt(3.0)]
+
+    def test_scalar_bracket_gives_scalars(self):
+        x, f = golden_max(lambda t: -(t - 1.0) ** 2, 0.25, 2.0)
+        assert np.ndim(x) == 0 and np.ndim(f) == 0
+        assert isinstance(x, float) and isinstance(f, float)
+
+    def test_stops_at_xtol(self):
+        calls = []
+
+        def fun(t):
+            calls.append(float(t))
+            return -(t - 0.3) ** 2
+
+        golden_max(fun, 0.0, 1.0, xtol=1e-3, iters=500)
+        # four start evaluations plus one per step until the bracket is < xtol
+        assert len(calls) == 4 + math.ceil(math.log(1e-3) / math.log((math.sqrt(5) - 1) / 2))
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,39 @@ class TestDivisorAlgebra:
         total = add_divisors(d1, d2)
         assert vol_hat(total) >= vol_hat(d1) + vol_hat(d2) - 1e-6
 
+    def test_sum_transform_batched(self):
+        total = add_divisors(canonical_divisor([0.25, 2]), canonical_divisor([2, 0.25]))
+        t = concave_transform(total)
+        xs = np.array([0.3, 1.0, 1.7])
+        vals = t(xs)
+        assert vals.shape == (3,)
+        assert vals.tolist() == [t(float(x)) for x in xs]
+        assert t.values_on(xs).tolist() == vals.tolist()
+        xs = np.linspace(0.0, 2.0, 301)
+        assert t(xs).tolist() == [t(float(x)) for x in xs]
+        assert t(np.array([[0.3, 1.0], [1.7, 0.5]])).shape == (2, 2)
+
+    def test_sum_transform_doubling(self):
+        # sup-convolution of a concave G with itself peaks at the even split
+        dv = canonical_divisor([0.7, 1.9], twist=0.2)
+        xs = np.linspace(0.0, 2.0, 41)
+        doubled = concave_transform(add_divisors(dv, dv))(xs)
+        assert np.allclose(doubled, 2 * concave_transform(dv)(xs / 2), atol=1e-12)
+
+    def test_sum_transform_outside_body(self):
+        total = add_divisors(canonical_divisor([0.25, 2]), canonical_divisor([2, 0.25]))
+        vals = concave_transform(total)(np.array([-0.5, 1.0, 2.5]))
+        assert vals[0] == -np.inf and vals[2] == -np.inf and np.isfinite(vals[1])
+
+    def test_sum_transform_limits(self):
+        d1, d2 = canonical_divisor([0.25, 2]), canonical_divisor([2, 0.25])
+        three = concave_transform(add_divisors(add_divisors(d1, d2), d1))
+        with pytest.raises(InputError, match="two parts"):
+            three(1.0)
+        plane = add_divisors(canonical_divisor([1, 2, 4]), canonical_divisor([1, 1, 1]))
+        with pytest.raises(InputError, match="d = 1"):
+            concave_transform(plane)
+
     def test_records_roundtrip(self):
         for dv in (canonical_divisor([2, 2], twist=0.3),
                    principal_twist(canonical_divisor([0.25, 2]), [1.0]),
