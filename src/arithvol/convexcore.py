@@ -490,9 +490,10 @@ def constrained_convex_minorant(u: GridConvexFunction, slope_lo: float, slope_hi
 # ---------------------------------------------------------------------------
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 90     # bound against stalled brackets; every caller's bracket reaches xtol sooner
 
 
-def golden_max(fun: Callable, lo, hi, xtol: float = 1e-10, iters: int = 90):
+def golden_max(fun: Callable, lo, hi, xtol: float = 1e-10):
     """Golden-section maximization of a unimodal ``fun`` on ``[lo, hi]``, elementwise.
 
     ``lo`` and ``hi`` are scalars or arrays of one shape; ``fun`` maps points
@@ -501,7 +502,8 @@ def golden_max(fun: Callable, lo, hi, xtol: float = 1e-10, iters: int = 90):
     endpoints included.  Each step evaluates ``fun`` once on all brackets; a
     bracket stops moving once it is narrower than the absolute ``xtol``, so
     every element gets exactly the result of a search on its bracket alone.
-    The search ends when all brackets have stopped or after ``iters`` steps.
+    The search ends when all brackets have stopped or after ``_GOLDEN_STEPS``
+    steps, a bound against brackets that never narrow.
     Scalar brackets are searched with Python floats, which ``fun`` receives,
     so a scalar search pays no per-step numpy overhead.
     """
@@ -518,7 +520,7 @@ def golden_max(fun: Callable, lo, hi, xtol: float = 1e-10, iters: int = 90):
     for x in (a, b):
         fx = fun(x)
         best_x, best_f = pick(fx > best_f, x, best_x), pick(fx > best_f, fx, best_f)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         right = live & (fc < fd)           # keep [c, b]: the new point lies right of d
         left = live ^ right                # keep [a, d]: the new point lies left of c
         a, b = pick(right, c, a), pick(left, d, b)

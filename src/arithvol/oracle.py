@@ -207,7 +207,7 @@ def sup_norm_numeric(dv: ToricArithDivisor, n: int, m: Sequence[int],
         return m[0] * s1 + m[1] * s2 - n * u - n * dv.twist
 
     if dv.d == 1:
-        _, best = golden_max(objective_1d, -s_cap, s_cap, xtol=1e-12, iters=200)
+        _, best = golden_max(objective_1d, -s_cap, s_cap, xtol=1e-12)
         return math.exp(best / 2.0)
     # directional ascent over the box: the axis directions plus the diagonals,
     # which are the recession directions where boundary exponents ridge out
@@ -228,7 +228,7 @@ def sup_norm_numeric(dv: ToricArithDivisor, n: int, m: Sequence[int],
             lo = max(b[0] for b in t_bounds)
             hi = min(b[1] for b in t_bounds)
             line = lambda t: objective_2d(s[0] + t * vec[0], s[1] + t * vec[1])
-            t_best, f_best = golden_max(line, lo, hi, xtol=1e-13, iters=120)
+            t_best, f_best = golden_max(line, lo, hi, xtol=1e-13)
             if f_best > objective_2d(s[0], s[1]):
                 s = s + t_best * vec
         if np.max(np.abs(s - prev)) < 1e-12:

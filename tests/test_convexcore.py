@@ -323,7 +323,7 @@ class TestGoldenMax:
             calls.append(float(t))
             return -(t - 0.3) ** 2
 
-        golden_max(fun, 0.0, 1.0, xtol=1e-3, iters=500)
+        golden_max(fun, 0.0, 1.0, xtol=1e-3)
         # four start evaluations plus one per step until the bracket is < xtol
         assert len(calls) == 4 + math.ceil(math.log(1e-3) / math.log((math.sqrt(5) - 1) / 2))
 
