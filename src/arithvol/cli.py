@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import oracle, zariski
-from .divisor import (BaseCondition, ToricArithDivisor, canonical_divisor,
+from .divisor import (BaseCondition, SampledConvex, ToricArithDivisor, canonical_divisor,
                       concave_transform, divisor_from_record, divisor_record,
                       filtration_summary, mu_R, mu_monotone_continuity_profile,
                       profile_lipschitz, multiplicity_law_suite, vol_hat, vol_hat_base)
@@ -103,8 +103,7 @@ def _load_divisor(path: str) -> ToricArithDivisor:
 
 
 def _method_tag(dv: ToricArithDivisor) -> str:
-    transform = concave_transform(dv)
-    return "closed-form+quadrature" if transform.closed_form else "grid+quadrature"
+    return "grid+quadrature" if isinstance(dv.potential, SampledConvex) else "closed-form+quadrature"
 
 
 def _transform_table(dv: ToricArithDivisor, grid: int):
@@ -118,6 +117,8 @@ def _transform_table(dv: ToricArithDivisor, grid: int):
 
 
 def run(args) -> int:
+    if args.grid < 1:
+        raise InputError(f"--grid must be at least 1, got {args.grid}")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     conditions = [_parse_mu(s) for s in args.mu]
@@ -141,7 +142,7 @@ def run(args) -> int:
             _write_table(os.path.join(out_dir, "transform.tsv"), table, ("x", "G"))
 
     elif args.command == "body":
-        level = args.level or 6
+        level = 6 if args.level is None else args.level
         series = full_series(dv.d, level, degree=int(round(dv.coeffs[0])))
         if conditions:
             filtered = []
@@ -182,7 +183,7 @@ def run(args) -> int:
         _write_table(os.path.join(out_dir, "mu_profile.tsv"), profile, ("twist", "mu"))
 
     elif args.command == "e-range":
-        level = args.level or 10
+        level = 10 if args.level is None else args.level
         summary = filtration_summary(dv, level)
         result["method"] = _method_tag(dv)
         result["level"] = level

@@ -261,12 +261,25 @@ class GridConvexFunction:
         return float(ax[1] - ax[0]) if len(ax) > 1 else 0.0
 
     def __call__(self, x):
-        """Piecewise-linear interpolation (1-d and 2-d box grids)."""
+        """Piecewise-linear interpolation (1-d and 2-d box grids), batched.
+
+        ``x`` is a point or an array of points: any shape in 1-d, ``(N, 2)``
+        or a pair in 2-d (values of shape ``(N,)``).  Beyond the grid box the
+        function extends convexly by its recession slopes: the value at the
+        point clipped to the box plus ``lo_i min(x_i - a_i, 0) + hi_i max(x_i
+        - b_i, 0)`` per axis ``[a_i, b_i]`` with slopes ``(lo_i, hi_i)``.
+        """
+        x = np.asarray(x, dtype=float)
         if self.ndim == 1:
-            return np.interp(np.asarray(x, dtype=float), self.axes[0], self.values)
+            (ax,), ((lo, hi),) = self.axes, self.recession
+            vals = np.interp(np.clip(x, ax[0], ax[-1]), ax, self.values)
+            return vals + lo * np.minimum(x - ax[0], 0.0) + hi * np.maximum(x - ax[-1], 0.0)
         from scipy.interpolate import RegularGridInterpolator
-        itp = RegularGridInterpolator(self.axes, self.values, bounds_error=False, fill_value=None)
-        return itp(np.atleast_2d(np.asarray(x, dtype=float)))
+        pts = np.atleast_2d(x)
+        a, b = np.array([ax[0] for ax in self.axes]), np.array([ax[-1] for ax in self.axes])
+        lo, hi = np.array(self.recession, dtype=float).T
+        vals = RegularGridInterpolator(self.axes, self.values)(np.clip(pts, a, b))
+        return vals + np.minimum(pts - a, 0.0) @ lo + np.maximum(pts - b, 0.0) @ hi
 
     def check_convex(self, tol: float = GEOM_TOL) -> bool:
         return discrete_convexity_defect(self.values, self.mask) >= -tol
@@ -606,41 +619,22 @@ def full_region(p: Polytope) -> Region:
     return Region(base=p)
 
 
-def _positive_intervals(fun, lo, hi, probes=513):
-    """Subintervals of [lo, hi] where the concave ``fun`` is positive."""
-    if hi - lo <= 1e-15:
-        return []
+def _positive_support(fun, lo, hi, probes):
+    """Closure of ``{fun > 0}`` in ``[lo, hi]`` as ``(a, b)``, or ``None`` if empty.
+
+    ``fun`` is concave, so its positive set is one interval: the first and
+    last positive of ``probes`` equispaced probes are moved out to the roots
+    toward their outer neighbours.  ``fun`` takes the probe array and, for
+    the root search, single points.
+    """
     xs = np.linspace(lo, hi, probes)
-    try:
-        vals = np.asarray(fun(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError, IndexError):
-        vals = np.array([fun(x) for x in xs])
-    sign = vals > 0.0
-    if not sign.any():
-        return []
-    segments = []
-    start = None
-    for i, s in enumerate(sign):
-        if s and start is None:
-            start = i
-        elif not s and start is not None:
-            segments.append((start, i - 1))
-            start = None
-    if start is not None:
-        segments.append((start, len(xs) - 1))
-    out = []
-    for i0, i1 in segments:
-        a = xs[i0]
-        if i0 > 0:
-            a = brentq(fun, xs[i0 - 1], xs[i0], xtol=1e-14)
-        b = xs[i1]
-        if i1 < len(xs) - 1:
-            b = brentq(fun, xs[i1], xs[i1 + 1], xtol=1e-14)
-        if b > a:
-            out.append((a, b))
-    return out
+    idx = np.nonzero(fun(xs) > 0.0)[0]
+    if not len(idx):
+        return None
+    i, j = idx[0], idx[-1]
+    a = xs[i] if i == 0 else brentq(fun, xs[i - 1], xs[i], xtol=1e-14)
+    b = xs[j] if j == probes - 1 else brentq(fun, xs[j], xs[j + 1], xtol=1e-14)
+    return (a, b) if b > a else None
 
 
 _GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -663,43 +657,28 @@ def pl_positive_integral(x: np.ndarray, g: np.ndarray) -> float:
     return total
 
 
-def _eval_batch_2d(fun, x1, ys):
-    pts = np.column_stack([np.full(len(ys), x1), ys])
-    try:
-        vals = np.asarray(fun(pts), dtype=float)
-        if vals.shape == (len(ys),):
-            return vals
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.array([float(fun((x1, y))) for y in ys])
-
-
 def integrate_positive_part(transform, region: Region, shift: float = 0.0,
                             rel_tol: float = 1e-9) -> float:
     """Quadrature of ``max(transform - shift, 0)`` over ``region``.
 
-    ``transform`` is any concave callable (scalar in 1-d, pair in 2-d), e.g.
-    a concave transform object.  Empty regions integrate to 0.  Refining the
-    probe grid changes the result below quadrature tolerance because the sign
-    changes are located by root-finding before integrating.
+    ``transform`` is a concave callable on batches of points, e.g. a concave
+    transform object: in 1-d it maps an array of points to an array of
+    values of the same shape, in 2-d an ``(N, 2)`` array to ``(N,)`` values;
+    a single point (a float in 1-d, a pair in 2-d) gives a single value.
+    Empty regions integrate to 0.  Refining the probe grid changes the
+    result below quadrature tolerance because the sign changes are located
+    by root-finding before integrating.
     """
     dim = region.base.dim
     if region.is_empty():
         return 0.0
     if dim == 1:
         lo, hi = region.interval()
-        if hi <= lo:
+        f = lambda x: transform(x) - shift
+        iv = _positive_support(f, lo, hi, 513) if hi - lo > 1e-15 else None
+        if iv is None:
             return 0.0
-        f = lambda x: float(transform(x)) - shift
-
-        def f_probe(x):
-            return np.asarray(transform(x), dtype=float) - shift
-
-        total = 0.0
-        for a, b in _positive_intervals(f_probe, lo, hi):
-            val, _ = quad(f, a, b, epsabs=1e-11, epsrel=rel_tol, limit=200)
-            total += val
-        return total
+        return quad(f, *iv, epsabs=1e-11, epsrel=rel_tol, limit=200)[0]
     if dim != 2:
         raise InputError("quadrature implemented for regions of dimension <= 2")
 
@@ -721,21 +700,19 @@ def integrate_positive_part(transform, region: Region, shift: float = 0.0,
                 return 0.0
         if not np.isfinite(lo2) or not np.isfinite(hi2) or hi2 <= lo2:
             return 0.0
-        ys = np.linspace(lo2, hi2, 129)
-        vals = _eval_batch_2d(transform, x1, ys) - shift
-        pos = vals > 0.0
-        if not pos.any():
+
+        def g(y):
+            # the root search passes single points, the probes and nodes arrays
+            if np.ndim(y) == 0:
+                return transform((x1, y)) - shift
+            return transform(np.column_stack([np.full(len(y), x1), y])) - shift
+
+        iv = _positive_support(g, lo2, hi2, 129)
+        if iv is None:
             return 0.0
-        g = lambda y: float(transform((x1, y))) - shift
-        # concave in y: a single positive segment, endpoints by bisection
-        idx = np.nonzero(pos)[0]
-        a = ys[idx[0]] if idx[0] == 0 else brentq(g, ys[idx[0] - 1], ys[idx[0]], xtol=1e-14)
-        b = ys[idx[-1]] if idx[-1] == len(ys) - 1 else brentq(g, ys[idx[-1]], ys[idx[-1] + 1], xtol=1e-14)
-        if b <= a:
-            return 0.0
+        a, b = iv
         mid, half = (a + b) / 2.0, (b - a) / 2.0
-        nodes = mid + half * _GL32_NODES
-        return half * float(_GL32_WEIGHTS @ (_eval_batch_2d(transform, x1, nodes) - shift))
+        return half * float(_GL32_WEIGHTS @ g(mid + half * _GL32_NODES))
 
     val, _ = quad(inner, x_lo, x_hi, epsabs=1e-10, epsrel=1e-8, limit=200)
     return float(val)

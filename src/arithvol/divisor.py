@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import convexcore
-from .convexcore import (GridConvexFunction, Polytope, Region, full_region,
+from .convexcore import (GridConvexFunction, Polytope, Region,
                          integrate_positive_part, legendre_conjugate, shifted_simplex)
 from .errors import (BignessRequiredError, InputError, OutOfRangeError,
                      RecessionError, UnsupportedCenterError)
@@ -344,21 +344,24 @@ class ConcaveTransform:
     """The concave transform G on the divisor body.
 
     Immutable; callable on points (scalar for d=1, pair for d=2, or arrays of
-    such).  ``closed_form`` reports whether evaluation is exact.  The
-    evaluator is batch-only, ``(N, d)`` points to ``(N,)`` values; the
-    scalar-or-array handling lives here.
+    such).  The evaluator is batch-only, ``(N, d)`` points to ``(N,)``
+    values; the scalar-or-array handling lives here.  Grid transforms carry
+    their node values in ``grid_values``; closed forms have none.
     """
 
     def __init__(self, divisor: ToricArithDivisor, domain: Polytope,
-                 evaluator: Callable, closed_form: bool,
-                 grid_axes=None, grid_values=None):
+                 evaluator: Callable, grid_axes=None, grid_values=None):
         self.divisor = divisor
         self.domain = domain
         self.lam = divisor.twist
-        self.closed_form = closed_form
         self._eval = evaluator
         self.grid_axes = grid_axes
         self.grid_values = grid_values
+
+    @property
+    def closed_form(self) -> bool:
+        """Whether evaluation is exact (no grid conjugate behind it)."""
+        return self.grid_values is None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -450,9 +453,9 @@ def concave_transform(dv: ToricArithDivisor, resolution: Optional[int] = None) -
     domain = dv.body()
     pot = dv.potential
     if isinstance(pot, CanonicalFamily):
-        return ConcaveTransform(dv, domain, _canonical_G(pot, dv.twist), True)
+        return ConcaveTransform(dv, domain, _canonical_G(pot, dv.twist))
     if isinstance(pot, SumPotential):
-        return ConcaveTransform(dv, domain, _sum_G(pot, dv.twist, dv.d), True)
+        return ConcaveTransform(dv, domain, _sum_G(pot, dv.twist, dv.d))
 
     u = pot.u
     res = resolution or (DEFAULT_GRID_1D if dv.d == 1 else DEFAULT_GRID_2D)
@@ -462,10 +465,10 @@ def concave_transform(dv: ToricArithDivisor, resolution: Optional[int] = None) -
     if dv.d == 1:
         ax = conj.axes[0]
         return ConcaveTransform(dv, domain, lambda pts: np.interp(pts[:, 0], ax, gv),
-                                False, grid_axes=(ax,), grid_values=gv)
+                                grid_axes=(ax,), grid_values=gv)
     from scipy.interpolate import RegularGridInterpolator
     itp = RegularGridInterpolator(conj.axes, gv, bounds_error=False, fill_value=None)
-    return ConcaveTransform(dv, domain, itp, False, grid_axes=conj.axes, grid_values=gv)
+    return ConcaveTransform(dv, domain, itp, grid_axes=conj.axes, grid_values=gv)
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +533,10 @@ def vol_hat(dv: ToricArithDivisor) -> float:
     """Arithmetic volume ``(d+1)! * integral of max(G, 0)`` over the body.
 
     Positive exactly on the big cone; for the canonical family with twist
-    ``lam`` that is ``sum(a) * e^lam > 1``.
+    ``lam`` that is ``sum(a) * e^lam > 1``.  This is :func:`vol_hat_base`
+    with no base conditions.
     """
-    transform = concave_transform(dv)
-    if transform.closed_form and transform.max_value() <= 0.0:
-        return 0.0
-    if not transform.closed_form and dv.d == 1:
-        body = dv.body()
-        iv = (float(body.vertices[:, 0].min()), float(body.vertices[:, 0].max()))
-        return math.factorial(2) * _grid_positive_mass(transform, iv)
-    region = full_region(dv.body())
-    return math.factorial(dv.d + 1) * integrate_positive_part(transform, region)
+    return vol_hat_base(dv, ())
 
 
 @dataclass(frozen=True)
@@ -590,21 +586,15 @@ def vol_hat_base(dv: ToricArithDivisor, conditions: Sequence[BaseCondition]) -> 
     """Arithmetic volume under base conditions.
 
     Horizontal centers cut the body by linear constraints; vertical fibers at
-    ``p`` lower the integrand by ``mu log p``.  Equals :func:`vol_hat` when
-    every bound is zero and never exceeds it.
+    ``p`` lower the integrand by ``mu log p``.  With no conditions, or with
+    every bound zero, this is :func:`vol_hat`; it never exceeds it.
     """
-    constraints = []
-    shift = 0.0
-    for cond in conditions:
-        if cond.kind == "fiber":
-            shift += cond.bound * math.log(cond.index)
-        else:
-            normal, offset = _horizontal_constraint(dv, cond)
-            constraints.append((normal, offset))
+    shift = sum((c.bound * math.log(c.index) for c in conditions if c.kind == "fiber"), 0.0)
+    constraints = tuple(_horizontal_constraint(dv, c) for c in conditions if c.kind != "fiber")
     transform = concave_transform(dv)
     if transform.closed_form and transform.max_value() <= shift:
         return 0.0
-    region = Region(base=dv.body(), constraints=tuple(constraints))
+    region = Region(base=dv.body(), constraints=constraints)
     if not transform.closed_form and dv.d == 1:
         if region.is_empty():
             return 0.0
@@ -747,25 +737,16 @@ def mu_R(dv: ToricArithDivisor, center: BaseCondition) -> float:
     d, c = dv.d, dv.coeffs
     pot = dv.potential
     i = center.index
-    if center.kind == "hyperplane" and not 0 <= i <= d:
-        raise UnsupportedCenterError(f"hyperplane index {i} out of range")
-    if center.kind == "point" and not 0 <= i <= d:
-        raise UnsupportedCenterError(f"point index {i} out of range")
+    if not 0 <= i <= d:
+        raise UnsupportedCenterError(f"{center.kind} index {i} out of range")
+    # the coordinate sum of a center (all coordinates for index 0, x_i else)
+    # enters at its largest over the region for H_0 and P_i (i >= 1), else at its smallest
+    want_max = (center.kind == "hyperplane") == (i == 0)
 
     if isinstance(pot, CanonicalFamily):
-        scale = pot.scale
-        shift = pot.shift
-        if center.kind == "hyperplane":
-            if i == 0:
-                t = _positive_extreme_subset(dv, list(range(d)), want_max=True)
-                return scale * (1.0 - t)
-            t = _positive_extreme_subset(dv, [i - 1], want_max=False)
-            return scale * t
-        if i == 0:
-            t = _positive_extreme_subset(dv, list(range(d)), want_max=False)
-            return scale * t
-        t = _positive_extreme_subset(dv, [i - 1], want_max=True)
-        return scale * (1.0 - t)
+        subset = list(range(d)) if i == 0 else [i - 1]
+        t = _positive_extreme_subset(dv, subset, want_max)
+        return pot.scale * (1.0 - t) if want_max else pot.scale * t
 
     # generic path: minimize the functional over the positive region
     transform = concave_transform(dv)
@@ -774,9 +755,7 @@ def mu_R(dv: ToricArithDivisor, center: BaseCondition) -> float:
         if iv is None:
             raise BignessRequiredError("positive region is empty")
         lo, hi = iv
-        if center.kind == "hyperplane":
-            return (c[0] - hi) if i == 0 else (lo + c[1])
-        return (lo + c[1]) if i == 0 else (c[0] - hi)
+        return (c[0] - hi) if want_max else (lo + c[1])
     normal, offset = _horizontal_constraint(dv, BaseCondition(center.kind, i, 0.0))
     # functional value is offset - normal . x minimized <=> max normal . x
     region = positive_region(dv)
@@ -918,28 +897,30 @@ def _canonical_from_record(pot: dict, d: int) -> CanonicalFamily:
 
 
 def divisor_from_record(rec: dict) -> ToricArithDivisor:
+    """Divisor from its record; any unreadable field is an :class:`InputError`."""
     try:
         d = int(rec["d"])
         coeffs = [float(c) for c in rec["coeffs"]]
+        twist = float(rec.get("twist", 0.0))
         pot = rec["potential"]
         kind = pot["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed divisor record: {exc}") from None
-    twist = float(rec.get("twist", 0.0))
-    if kind == "canonical":
-        return make_divisor(d, coeffs, _canonical_from_record(pot, d), twist)
-    if kind == "sum":
-        parts = tuple(_canonical_from_record(p, d) for p in pot["parts"])
-        return make_divisor(d, coeffs, SumPotential(parts=parts), twist)
-    if kind == "sampled":
-        values = np.asarray(pot["values"], dtype=float)
-        s_min, s_max = float(pot["s_min"]), float(pot["s_max"])
-        width = sum(coeffs)
-        rec_slopes = tuple((-coeffs[1 + i], width - coeffs[1 + i]) for i in range(d))
-        if d == 1:
-            axes = (np.linspace(s_min, s_max, len(values)),)
+        if kind == "canonical":
+            potential = _canonical_from_record(pot, d)
+        elif kind == "sum":
+            potential = SumPotential(parts=tuple(_canonical_from_record(p, d) for p in pot["parts"]))
+        elif kind == "sampled":
+            values = np.asarray(pot["values"], dtype=float)
+            s_min, s_max = float(pot["s_min"]), float(pot["s_max"])
+            width = sum(coeffs)
+            rec_slopes = tuple((-coeffs[1 + i], width - coeffs[1 + i]) for i in range(d))
+            if d == 1:
+                axes = (np.linspace(s_min, s_max, len(values)),)
+            else:
+                axes = tuple(np.linspace(s_min, s_max, n) for n in values.shape)
+            potential = SampledConvex(GridConvexFunction(axes=axes, values=values,
+                                                         recession=rec_slopes))
         else:
-            axes = tuple(np.linspace(s_min, s_max, n) for n in values.shape)
-        u = GridConvexFunction(axes=axes, values=values, recession=rec_slopes)
-        return make_divisor(d, coeffs, SampledConvex(u), twist)
-    raise InputError(f"unknown potential kind {kind!r}")
+            raise InputError(f"unknown potential kind {kind!r}")
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InputError(f"malformed divisor record: {exc}") from None
+    return make_divisor(d, coeffs, potential, twist)

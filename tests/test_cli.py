@@ -162,6 +162,36 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert "--twist-range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--command", "vol", "--grid", "-1"],
+        ["--command", "mu-profile", "--mu", "hyperplane:1:0", "--grid", "-1"],
+        ["--command", "vol", "--grid", "0"],
+    ])
+    def test_validation_error_bad_grid(self, div_qtr2, tmp_path, flags, capsys):
+        assert main(flags + ["--divisor", div_qtr2, "--out", str(tmp_path)]) == 2
+        assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["body", "e-range"])
+    def test_validation_error_level_zero(self, div22, tmp_path, command, capsys):
+        assert main(["--command", command, "--divisor", div22, "--level", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": 0.0,
+         "potential": {"kind": "sampled", "s_min": -1.0, "s_max": 1.0, "values": [1, "x", 3]}},
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": 0.0,
+         "potential": {"kind": "sampled", "s_max": 1.0, "values": [1.0, 0.5, 1.0]}},
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": "abc",
+         "potential": {"kind": "canonical", "a": [2.0, 2.0]}},
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": 0.0, "potential": {"kind": "canonical"}},
+    ], ids=["sampled-value", "no-s_min", "twist", "no-a"])
+    def test_validation_error_bad_record_fields(self, tmp_path, record, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        assert main(["--command", "vol", "--divisor", str(path), "--out", str(tmp_path)]) == 2
+        assert "malformed divisor record" in capsys.readouterr().err
+
     def test_bigness_exit(self, div_nonbig, tmp_path):
         assert main(["--command", "mu", "--divisor", div_nonbig,
                      "--mu", "hyperplane:1:0", "--out", str(tmp_path)]) == 3
@@ -221,10 +251,13 @@ def _canonical_record(a, twist=0.0):
 
 
 def _sampled_record(a, n=1001, s_range=40.0):
-    """Grid sample of ``log(a_0 + a_1 e^s)`` built with numpy alone."""
-    s = np.linspace(-s_range, s_range, n)
-    values = np.logaddexp(math.log(a[0]), math.log(a[1]) + s)
-    return {"d": 1, "coeffs": [1.0, 0.0],
+    """Grid sample of ``log(a_0 + sum a_i e^{s_i})`` (``n`` or ``n x n`` points), numpy alone."""
+    d = len(a) - 1
+    grids = np.meshgrid(*[np.linspace(-s_range, s_range, n)] * d, indexing="ij")
+    values = np.full(grids[0].shape, math.log(a[0]))
+    for ai, g in zip(a[1:], grids):
+        values = np.logaddexp(values, math.log(ai) + g)
+    return {"d": d, "coeffs": [1.0] + [0.0] * d,
             "potential": {"kind": "sampled", "s_min": -s_range, "s_max": s_range,
                           "values": values.tolist()},
             "twist": 0.0}
@@ -246,6 +279,20 @@ PINNED_REQUESTS = {
     "sampled_e_range": (_sampled_record([0.25, 2.0]),
                         ["--command", "e-range", "--level", "20"]),
     "zariski": (_canonical_record([0.25, 2.0]), ["--command", "zariski"]),
+    "sampled_d2_vol": (_sampled_record([0.5, 1.0, 1.5], n=65, s_range=10.0),
+                       ["--command", "vol"]),
+    "sampled_d2_mu": (_sampled_record([0.25, 2.0, 0.25], n=65, s_range=10.0),
+                      ["--command", "mu", "--mu", "hyperplane:1:0"]),
+    "canonical_d2_vol_base": (_canonical_record([0.5, 1.0, 1.5]),
+                              ["--command", "vol-base", "--mu", "hyperplane:1:0.1",
+                               "--mu", "fiber:2:0.05"]),
+    "canonical_d1_vol_base_fiber": (_canonical_record([0.25, 2.0]),
+                                    ["--command", "vol-base", "--mu", "fiber:3:0.1"]),
+    "sum_vol_base": (_SUM_RECORD, ["--command", "vol-base", "--grid", "11",
+                                   "--mu", "hyperplane:1:0.2", "--mu", "fiber:3:0.05"]),
+    "canonical_d1_mu_profile": (_canonical_record([0.25, 2.0]),
+                                ["--command", "mu-profile", "--mu", "hyperplane:1:0",
+                                 "--grid", "21", "--twist-range", "0:1.6"]),
 }
 
 _INPUT_KEYS = ("command", "divisor", "seed", "grid", "tol")
@@ -261,7 +308,8 @@ def pinned_outputs(name, tmp_path):
     fields = {k: (f"{v:.12g}" if isinstance(v, float) else v)
               for k, v in read_results(str(out)).items() if k not in _INPUT_KEYS}
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-               for f in ("transform.tsv", "zariski_report.json") if (out / f).exists()}
+               for f in ("transform.tsv", "zariski_report.json", "mu_profile.tsv")
+               if (out / f).exists()}
     return fields, digests
 
 
@@ -288,6 +336,24 @@ PINNED = {
         {"method": "golden-section+minorant", "pass": True,
          "vol_input": "0.362987574374", "vol_positive": "0.362995391962"},
         {"zariski_report.json": "2fda3f5980dff3d74f45697f22e2a014092eab3aed47158c8d7d4b70ec5f8892"}),
+    "sampled_d2_vol": (
+        {"method": "grid+quadrature", "value": "1.11445932991"}, {}),
+    "sampled_d2_mu": (
+        {"method": "grid+quadrature", "value": "0.171875", "center": ["hyperplane", 1]}, {}),
+    "canonical_d2_vol_base": (
+        {"method": "closed-form+quadrature", "value": "0.874310741792",
+         "conditions": [["hyperplane", 1, 0.1], ["fiber", 2, 0.05]]}, {}),
+    "canonical_d1_vol_base_fiber": (
+        {"method": "closed-form+quadrature", "value": "0.230511717331",
+         "conditions": [["fiber", 3, 0.1]]},
+        {"transform.tsv": "538ff25520c7962c9d44fe1bd55e2ed1041c30371cb88ffa27805669ace8ad60"}),
+    "sum_vol_base": (
+        {"method": "closed-form+quadrature", "value": "1.65711123768",
+         "conditions": [["hyperplane", 1, 0.2], ["fiber", 3, 0.05]]},
+        {"transform.tsv": "9dbcee3ea6288bf3eb1bb23f0dee3d5600178d233683fc34633ffe555b4b419c"}),
+    "canonical_d1_mu_profile": (
+        {"method": "closed-form+quadrature", "lipschitz": "0.364293729537", "monotone": True},
+        {"mu_profile.tsv": "77f849b944c58b8b4aca8309732fe6d6284a63fd99bd2bba47b8a0143ba0dea0"}),
 }
 
 

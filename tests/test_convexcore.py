@@ -147,6 +147,33 @@ class TestLegendreConjugate:
 
 
 # ---------------------------------------------------------------------------
+# grid functions
+# ---------------------------------------------------------------------------
+
+class TestGridEvaluation:
+    def test_1d_interpolates_inside_and_follows_slopes_outside(self):
+        s = np.linspace(-1.0, 1.0, 41)
+        u = GridConvexFunction(axes=(s,), values=s ** 2, recession=((-3.0, 3.0),))
+        inside = np.linspace(-1.0, 1.0, 97)
+        assert np.array_equal(u(inside), np.interp(inside, s, s ** 2))
+        assert u(np.array([-4.0, 2.5])) == pytest.approx([1.0 + 9.0, 1.0 + 4.5], abs=1e-14)
+        assert float(u(2.0)) == pytest.approx(4.0, abs=1e-14)
+
+    def test_2d_extension_has_no_cross_term(self):
+        # max(s1, s2, 0) sampled on [-1, 1]^2 with slopes in [0, 1] per axis:
+        # beyond the box each axis continues by its slope, so (3, 3) gets
+        # u(1, 1) + 2 + 2 = 5, where bilinear extrapolation of the corner
+        # cell would give -7 through its s1 s2 term
+        s = np.linspace(-1.0, 1.0, 5)
+        g1, g2 = np.meshgrid(s, s, indexing="ij")
+        u = GridConvexFunction(axes=(s, s), values=np.maximum(np.maximum(g1, g2), 0.0),
+                               recession=((0.0, 1.0), (0.0, 1.0)))
+        pts = np.array([[0.5, -0.5], [3.0, -4.0], [-5.0, 0.5], [3.0, 3.0]])
+        assert u(pts) == pytest.approx([0.5, 3.0, 0.5, 5.0], abs=1e-12)
+        assert u((3.0, 3.0)) == pytest.approx([5.0], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # constrained convex minorant
 # ---------------------------------------------------------------------------
 
@@ -210,17 +237,17 @@ ENTROPY_22 = 0.5 * math.log(2) + 0.25        # shifted by log(2)/2
 
 
 def entropy(x):
-    x = np.clip(x, 0.0, 1.0)
-    val = 0.0
-    if 0 < x < 1:
-        val = -0.5 * (x * math.log(x) + (1 - x) * math.log(1 - x))
-    return val
+    """``-(x log x + (1 - x) log(1 - x)) / 2``, zero off ``(0, 1)``; batched."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    inner = (x > 0) & (x < 1)
+    y = np.where(inner, x, 0.5)
+    return np.where(inner, -0.5 * (y * np.log(y) + (1 - y) * np.log(1 - y)), 0.0)
 
 
 class TestQuadrature:
     def test_zero(self):
         region = full_region(convex_hull([[0.0], [1.0]]))
-        assert integrate_positive_part(lambda x: 0.0, region) == 0.0
+        assert integrate_positive_part(lambda x: np.zeros(np.shape(x)), region) == 0.0
 
     def test_entropy_quarter(self):
         # oracle: closed-form antiderivative of x log x
@@ -239,7 +266,7 @@ class TestQuadrature:
     def test_empty_region(self):
         region = Region(base=convex_hull([[0.0], [1.0]]),
                         constraints=((np.array([1.0]), -0.5),))
-        assert integrate_positive_part(lambda x: 1.0, region) == 0.0
+        assert integrate_positive_part(lambda x: np.ones(np.shape(x)), region) == 0.0
 
     def test_monotone_in_region(self):
         base = convex_hull([[0.0], [1.0]])
@@ -254,12 +281,13 @@ class TestQuadrature:
     def test_2d_entropy(self):
         # closed form: 6 * integral over the simplex = 1.5 log 2 + 1.25 for weights (1,2,4)
         def g(xy):
-            x1, x2 = xy
-            x0 = 1.0 - x1 - x2
+            xy = np.asarray(xy, dtype=float)
+            x1, x2 = xy[..., 0], xy[..., 1]
             total = 0.0
-            for v, a in ((x0, 1.0), (x1, 2.0), (x2, 4.0)):
-                if v > 1e-300:
-                    total += v * math.log(a / v)
+            for v, a in ((1.0 - x1 - x2, 1.0), (x1, 2.0), (x2, 4.0)):
+                pos = v > 1e-300
+                w = np.where(pos, v, 1.0)
+                total = total + np.where(pos, w * np.log(a / w), 0.0)
             return 0.5 * total
         region = full_region(shifted_simplex([1.0, 0.0, 0.0]))
         val = 6 * integrate_positive_part(g, region)

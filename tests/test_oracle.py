@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from arithvol.divisor import (BaseCondition, canonical_divisor, mu_R,
-                              principal_twist, sup_norm_monomial, vol_hat,
-                              vol_hat_base, with_twist)
+from arithvol.divisor import (BaseCondition, SampledConvex, canonical_divisor,
+                              log_sup_norm_monomial, make_divisor, mu_R,
+                              principal_twist, sampled_from_divisor, sup_norm_monomial,
+                              vol_hat, vol_hat_base, with_twist)
 from arithvol.oracle import (enumerate_sections, exact_ball_log_count,
                              log_count, mu_Q_approx, normalized_log_count,
                              sup_norm_numeric)
@@ -156,6 +157,20 @@ class TestSupNormNumeric:
             m = (int(rng.integers(0, n + 1)),)
             assert sup_norm_numeric(dv, n, m) == pytest.approx(
                 sup_norm_monomial(dv, n, m), rel=1e-6)
+
+    @pytest.mark.parametrize("a, grid, n, exponents, tol", [
+        ([2, 3], 4001, 7, [(0,), (3,), (7,)], 1e-4),
+        ([1, 2, 4], 129, 3, [(1, 0), (1, 1)], 1e-2),
+    ])
+    def test_sampled_potentials_match_transform(self, a, grid, n, exponents, tol):
+        # the numeric search reaches s = 60, past the grid's end at 40, where
+        # the sampled potential must grow by its recession slopes; the d = 2
+        # remainder is the directional ascent stalling at grid kinks
+        dv = canonical_divisor(a)
+        sampled = make_divisor(dv.d, dv.coeffs, SampledConvex(sampled_from_divisor(dv, n=grid)))
+        for m in exponents:
+            numeric = math.log(sup_norm_numeric(sampled, n, m))
+            assert abs(numeric - log_sup_norm_monomial(sampled, n, m)) <= tol
 
 
 class TestVolumeAgreement:
