@@ -107,12 +107,11 @@ def _method_tag(dv: ToricArithDivisor) -> str:
 
 
 def _transform_table(dv: ToricArithDivisor, grid: int):
-    transform = concave_transform(dv)
     if dv.d != 1:
         return None
-    lo = float(dv.body().vertices[:, 0].min())
-    hi = float(dv.body().vertices[:, 0].max())
-    xs = np.linspace(lo, hi, grid)
+    transform = concave_transform(dv)
+    verts = dv.body.vertices
+    xs = np.linspace(float(verts[:, 0].min()), float(verts[:, 0].max()), grid)
     return list(zip(xs, transform(xs)))
 
 

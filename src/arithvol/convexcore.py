@@ -446,7 +446,6 @@ def _slope_clip_minorant(s: np.ndarray, vals: np.ndarray, lo: float, hi: float) 
 
 def constrained_convex_minorant(u: GridConvexFunction, slope_lo: float, slope_hi: float,
                                 barrier: Optional[GridConvexFunction] = None,
-                                resolution: Optional[int] = None,
                                 max_iter: int = 50) -> GridConvexFunction:
     """Greatest convex ``h <= u`` with slopes in ``[slope_lo, slope_hi]`` and ``h >= barrier``.
 

@@ -18,15 +18,20 @@ sections, filtration levels, arithmetic volumes (with and without base
 conditions) and asymptotic multiplicities are all read off G.
 
 Divisors, transforms and summaries are immutable; all randomized suites
-take explicit seeds.
+take explicit seeds.  What is costly is built once and kept with the object
+it belongs to: a divisor's body (its convex hull) on the divisor, on first
+use, and a sampled potential's half conjugate ``-u*/2`` on the potential,
+per body, so that every twist of one sampled divisor shares one Legendre
+conjugation.  Closed-form transforms build no hull.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -94,9 +99,15 @@ class CanonicalFamily:
 
 @dataclass(frozen=True)
 class SampledConvex:
-    """Potential given by a convex grid sample of ``u(s)``."""
+    """Potential given by a convex grid sample of ``u(s)``.
+
+    ``half_conjugates`` memoizes the grid axes and ``-u*/2`` on each body
+    the potential is conjugated over, keyed by the divisor coefficients, so
+    every twist of one sampled divisor shares one Legendre conjugation.
+    """
 
     u: GridConvexFunction
+    half_conjugates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,9 @@ class ToricArithDivisor:
     potential: object
     twist: float = 0.0
 
+    @functools.cached_property
     def body(self) -> Polytope:
+        """The body ``{x_i >= -c_i, sum x <= c_0}``, built on first use and kept."""
         return shifted_simplex(self.coeffs)
 
     @property
@@ -136,8 +149,11 @@ def make_divisor(d: int, coeffs: Sequence[float], potential, twist: float = 0.0,
     recession bounds.
     """
     coeffs = tuple(float(c) for c in coeffs)
+    twist = float(twist)
     if len(coeffs) != d + 1:
         raise InputError(f"need {d + 1} hyperplane coefficients, got {len(coeffs)}")
+    if not _all_finite(coeffs + (twist,), potential):
+        raise InputError("coefficients, twist and potential must be finite numbers")
     if isinstance(potential, CanonicalFamily):
         if potential.d != d:
             raise InputError("canonical family dimension mismatch")
@@ -176,7 +192,18 @@ def make_divisor(d: int, coeffs: Sequence[float], potential, twist: float = 0.0,
                 raise RecessionError("sampled grid too narrow: edge slopes far from recession")
     else:
         raise InputError(f"unknown potential type {type(potential).__name__}")
-    return ToricArithDivisor(d=d, coeffs=coeffs, potential=potential, twist=float(twist))
+    return ToricArithDivisor(d=d, coeffs=coeffs, potential=potential, twist=twist)
+
+
+def _all_finite(numbers: tuple, potential) -> bool:
+    """Whether the numbers and every parameter or sample of the potential are finite."""
+    if isinstance(potential, SampledConvex):
+        params = potential.u.values.ravel()
+    else:
+        parts = potential.parts if isinstance(potential, SumPotential) else (potential,)
+        params = [x for p in parts if isinstance(p, CanonicalFamily)
+                  for x in (*p.a, p.scale, *p.shift)]
+    return bool(np.isfinite(np.concatenate([numbers, params])).all())
 
 
 def canonical_divisor(a: Sequence[float], twist: float = 0.0) -> ToricArithDivisor:
@@ -349,14 +376,18 @@ class ConcaveTransform:
     their node values in ``grid_values``; closed forms have none.
     """
 
-    def __init__(self, divisor: ToricArithDivisor, domain: Polytope,
-                 evaluator: Callable, grid_axes=None, grid_values=None):
+    def __init__(self, divisor: ToricArithDivisor, evaluator: Callable,
+                 grid_axes=None, grid_values=None):
         self.divisor = divisor
-        self.domain = domain
         self.lam = divisor.twist
         self._eval = evaluator
         self.grid_axes = grid_axes
         self.grid_values = grid_values
+
+    @property
+    def domain(self) -> Polytope:
+        """The divisor body; read on demand, so closed forms that never ask build no hull."""
+        return self.divisor.body
 
     @property
     def closed_form(self) -> bool:
@@ -443,32 +474,33 @@ def _sum_G(pot: SumPotential, lam: float, d: int):
     return G
 
 
-def concave_transform(dv: ToricArithDivisor, resolution: Optional[int] = None) -> ConcaveTransform:
+def concave_transform(dv: ToricArithDivisor) -> ConcaveTransform:
     """The transform ``G = -u*/2 + twist/2`` on the divisor body.
 
     Canonical-family divisors (and their scalar multiples, principal twists
     and two-term sums) evaluate in closed form; sampled potentials go through
-    the grid Legendre conjugate.
+    the grid Legendre conjugate, computed once per potential and body (see
+    :class:`SampledConvex`) and shifted by each divisor's twist.
     """
-    domain = dv.body()
     pot = dv.potential
     if isinstance(pot, CanonicalFamily):
-        return ConcaveTransform(dv, domain, _canonical_G(pot, dv.twist))
+        return ConcaveTransform(dv, _canonical_G(pot, dv.twist))
     if isinstance(pot, SumPotential):
-        return ConcaveTransform(dv, domain, _sum_G(pot, dv.twist, dv.d))
+        return ConcaveTransform(dv, _sum_G(pot, dv.twist, dv.d))
 
-    u = pot.u
-    res = resolution or (DEFAULT_GRID_1D if dv.d == 1 else DEFAULT_GRID_2D)
-    conj = legendre_conjugate(u, domain, resolution=res, refine=True)
-    lam = dv.twist
-    gv = -0.5 * conj.values + lam / 2.0
+    if dv.coeffs not in pot.half_conjugates:
+        res = DEFAULT_GRID_1D if dv.d == 1 else DEFAULT_GRID_2D
+        conj = legendre_conjugate(pot.u, dv.body, resolution=res, refine=True)
+        pot.half_conjugates[dv.coeffs] = (conj.axes, -0.5 * conj.values)
+    axes, half = pot.half_conjugates[dv.coeffs]
+    gv = half + dv.twist / 2.0
     if dv.d == 1:
-        ax = conj.axes[0]
-        return ConcaveTransform(dv, domain, lambda pts: np.interp(pts[:, 0], ax, gv),
-                                grid_axes=(ax,), grid_values=gv)
+        ax = axes[0]
+        return ConcaveTransform(dv, lambda pts: np.interp(pts[:, 0], ax, gv),
+                                grid_axes=axes, grid_values=gv)
     from scipy.interpolate import RegularGridInterpolator
-    itp = RegularGridInterpolator(conj.axes, gv, bounds_error=False, fill_value=None)
-    return ConcaveTransform(dv, domain, itp, grid_axes=conj.axes, grid_values=gv)
+    itp = RegularGridInterpolator(axes, gv, bounds_error=False, fill_value=None)
+    return ConcaveTransform(dv, itp, grid_axes=axes, grid_values=gv)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +536,7 @@ def positive_region(dv: ToricArithDivisor) -> Region:
     carries the superlevel indicator.
     """
     transform = concave_transform(dv)
-    body = dv.body()
+    body = dv.body
     if dv.d == 1:
         iv = _positive_interval_1d(transform)
         if iv is None:
@@ -594,7 +626,7 @@ def vol_hat_base(dv: ToricArithDivisor, conditions: Sequence[BaseCondition]) -> 
     transform = concave_transform(dv)
     if transform.closed_form and transform.max_value() <= shift:
         return 0.0
-    region = Region(base=dv.body(), constraints=constraints)
+    region = Region(base=dv.body, constraints=constraints)
     if not transform.closed_form and dv.d == 1:
         if region.is_empty():
             return 0.0
@@ -760,8 +792,9 @@ def mu_R(dv: ToricArithDivisor, center: BaseCondition) -> float:
     # functional value is offset - normal . x minimized <=> max normal . x
     region = positive_region(dv)
     axes = np.linspace(0, 1, 513)
-    pts = np.stack(np.meshgrid(axes * dv.width + dv.body().vertices[:, 0].min(),
-                               axes * dv.width + dv.body().vertices[:, 1].min(),
+    verts = dv.body.vertices
+    pts = np.stack(np.meshgrid(axes * dv.width + verts[:, 0].min(),
+                               axes * dv.width + verts[:, 1].min(),
                                indexing="ij"), axis=-1).reshape(-1, 2)
     inside = region.contains(pts)
     if not inside.any():

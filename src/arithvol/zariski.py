@@ -271,8 +271,7 @@ def greatest_nef_minorant(dv: ToricArithDivisor, resolution: int = 2001,
     else:
         barrier = GridConvexFunction(axes=(s,), values=np.maximum(delta1 * s, e0 * s),
                                      recession=((delta1, e0),))
-        h = constrained_convex_minorant(w.potential, delta1, e0, barrier=barrier,
-                                        resolution=resolution)
+        h = constrained_convex_minorant(w.potential, delta1, e0, barrier=barrier)
     positive = RotInvariantDivisor(e0=e0, e1=-delta1, potential=h)
     neg_pot = GridConvexFunction(axes=(s,), values=w.potential.values - h.values,
                                  recession=((-delta1, delta0),))
@@ -468,7 +467,7 @@ def toric_minorant_gap_2d(dv: ToricArithDivisor, steps: int = 24,
     results.sort(reverse=True)
     best_val, best_arg = -np.inf, None
     for vol6, d0, d1, d2 in results[:refine_top]:
-        region = Region(base=dv.body(), constraints=(
+        region = Region(base=dv.body, constraints=(
             (np.array([-1.0, 0.0]), -d1),
             (np.array([0.0, -1.0]), -d2),
             (np.array([1.0, 1.0]), c0 - d0)))

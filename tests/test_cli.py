@@ -192,6 +192,24 @@ class TestExitCodes:
         assert main(["--command", "vol", "--divisor", str(path), "--out", str(tmp_path)]) == 2
         assert "malformed divisor record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": math.inf,
+         "potential": {"kind": "canonical", "a": [2.0, 2.0]}},
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": math.nan,
+         "potential": {"kind": "canonical", "a": [2.0, 2.0]}},
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": 0.0,
+         "potential": {"kind": "sampled", "s_min": -1.0, "s_max": 1.0,
+                       "values": [1.0, 0.5, math.inf]}},
+    ], ids=["inf-twist", "nan-twist", "inf-sampled-value"])
+    @pytest.mark.parametrize("command", [["vol"], ["mu", "--mu", "hyperplane:1:0"]])
+    def test_validation_error_non_finite(self, tmp_path, record, command, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))          # writes Infinity / NaN literals
+        out = tmp_path / "out"
+        assert main(["--command", *command, "--divisor", str(path), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
     def test_bigness_exit(self, div_nonbig, tmp_path):
         assert main(["--command", "mu", "--divisor", div_nonbig,
                      "--mu", "hyperplane:1:0", "--out", str(tmp_path)]) == 3

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from arithvol.convexcore import GridConvexFunction, grid_function_from_callable
+from arithvol import convexcore, divisor, oracle
+from arithvol.convexcore import (GridConvexFunction, grid_function_from_callable,
+                                 shifted_simplex)
 from arithvol.divisor import (BaseCondition, CanonicalFamily, SampledConvex,
                               add_divisors, canonical_divisor,
                               concave_transform, divisor_from_record,
                               divisor_record, filtration_summary, is_big,
                               is_effective, make_divisor,
                               mu_monotone_continuity_profile, mu_R,
-                              principal_twist, profile_lipschitz,
-                              multiplicity_law_suite, scale_divisor,
+                              log_sup_norm_monomial, principal_twist,
+                              profile_lipschitz, multiplicity_law_suite,
+                              sampled_from_divisor, scale_divisor,
                               sup_norm_monomial, positive_region, vol_hat,
                               vol_hat_base, with_twist)
 from arithvol.errors import (BignessRequiredError, InputError, OutOfRangeError,
@@ -78,6 +81,101 @@ class TestMakeDivisor:
                                         -40, 40, 2001, [(0.0, 1.0)])
         dv = make_divisor(1, [1.0, 0.0], SampledConvex(u))
         assert is_effective(dv)
+
+    @pytest.mark.parametrize("coeffs, potential, twist", [
+        ([1.0, 0.0], CanonicalFamily(a=(2.0, 2.0)), math.inf),
+        ([1.0, 0.0], CanonicalFamily(a=(2.0, 2.0)), math.nan),
+        ([1.0, math.nan], CanonicalFamily(a=(2.0, 2.0)), 0.0),
+        ([1.0, 0.0], CanonicalFamily(a=(math.inf, 2.0)), 0.0),
+        ([1.0, 0.0], CanonicalFamily(a=(math.nan, 2.0)), 0.0),
+        ([math.inf, 0.0], CanonicalFamily(a=(2.0, 2.0), scale=math.inf), 0.0),
+        ([1.0, 0.0], CanonicalFamily(a=(2.0, 2.0), shift=(math.nan,)), 0.0),
+    ], ids=["inf-twist", "nan-twist", "nan-coeff", "inf-a", "nan-a", "inf-scale", "nan-shift"])
+    def test_non_finite_numbers(self, coeffs, potential, twist):
+        with pytest.raises(InputError, match="finite"):
+            make_divisor(1, coeffs, potential, twist)
+
+    def test_non_finite_sum_part(self):
+        parts = (CanonicalFamily(a=(2.0, 2.0)), CanonicalFamily(a=(2.0, math.inf)))
+        with pytest.raises(InputError, match="finite"):
+            make_divisor(1, [2.0, 0.0], divisor.SumPotential(parts=parts))
+
+    def test_non_finite_sample(self):
+        u = grid_function_from_callable(lambda t: np.logaddexp(0.0, t), -40, 40, 501,
+                                        [(0.0, 1.0)])
+        values = u.values.copy()
+        values[250] = math.inf
+        bad = GridConvexFunction(axes=u.axes, values=values, recession=u.recession)
+        with pytest.raises(InputError, match="finite"):
+            make_divisor(1, [1.0, 0.0], SampledConvex(bad))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name`` (the list grows by one per call)."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _sampled(a, twist=0.0, **grid):
+    dv = canonical_divisor(a)
+    return make_divisor(dv.d, dv.coeffs, SampledConvex(sampled_from_divisor(dv, **grid)), twist)
+
+
+class TestBuildOnce:
+    """Each divisor builds its body once; each sampled potential conjugates once per body."""
+
+    def test_body_is_kept(self):
+        dv = canonical_divisor([1, 2, 4])
+        assert dv.body is dv.body
+        assert concave_transform(dv).domain is dv.body
+
+    def test_oracle_count_conjugates_once(self, monkeypatch):
+        dv = _sampled([1.2, 0.9], twist=0.1, n=501)
+        conj = _count_calls(monkeypatch, divisor, "legendre_conjugate")
+        hulls = _count_calls(monkeypatch, convexcore, "convex_hull")
+        oracle.log_count(dv, 8)
+        assert len(conj) == 1
+        assert len(hulls) == 1
+
+    def test_twist_profile_conjugates_once(self, monkeypatch):
+        dv = _sampled([0.25, 2], n=2001)
+        conj = _count_calls(monkeypatch, divisor, "legendre_conjugate")
+        profile = mu_monotone_continuity_profile(dv, [0.0, 0.1, 0.2],
+                                                 BaseCondition("hyperplane", 1, 0.0))
+        assert len(profile) == 3
+        assert len(conj) == 1
+
+    def test_d2_mu_conjugates_once(self, monkeypatch):
+        dv = _sampled([1, 2, 4], s_range=10.0, n=65)
+        conj = _count_calls(monkeypatch, divisor, "legendre_conjugate")
+        mu_R(dv, BaseCondition("hyperplane", 1, 0.0))
+        assert len(conj) == 1
+
+    @pytest.mark.parametrize("a", [[0.25, 2], [1, 2, 4]])
+    def test_closed_forms_build_no_hull(self, monkeypatch, a):
+        dv = canonical_divisor(a)
+        hulls = _count_calls(monkeypatch, convexcore, "convex_hull")
+        assert is_big(dv)
+        mu_R(dv, BaseCondition("hyperplane", 1, 0.0))
+        log_sup_norm_monomial(dv, 5, (1,) * dv.d)
+        assert hulls == []
+
+    def test_twisted_sampled_values_match_fresh_conjugate(self):
+        dv = _sampled([0.25, 2], n=2001)
+        concave_transform(dv)                       # conjugates and keeps -u*/2
+        lam = 0.37
+        twisted = concave_transform(with_twist(dv, lam))
+        fresh = convexcore.legendre_conjugate(dv.potential.u, shifted_simplex(dv.coeffs),
+                                              resolution=2001, refine=True)
+        assert np.array_equal(twisted.grid_values, -0.5 * fresh.values + lam / 2.0)
+        assert np.array_equal(twisted.grid_axes[0], fresh.axes[0])
 
 
 class TestSupNorm:

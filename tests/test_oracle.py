@@ -165,7 +165,8 @@ class TestSupNormNumeric:
     def test_sampled_potentials_match_transform(self, a, grid, n, exponents, tol):
         # the numeric search reaches s = 60, past the grid's end at 40, where
         # the sampled potential must grow by its recession slopes; the d = 2
-        # remainder is the directional ascent stalling at grid kinks
+        # remainder is the quadratic peak bump that the transform's refined
+        # conjugate adds and the bilinear interpolant of the potential lacks
         dv = canonical_divisor(a)
         sampled = make_divisor(dv.d, dv.coeffs, SampledConvex(sampled_from_divisor(dv, n=grid)))
         for m in exponents:
