@@ -13,7 +13,10 @@ Conventions
   differences along grid lines (axes, and both diagonals in 2-d) are
   ``>= -1e-9``.
 * Conjugation is computed by exact maximization over the sample grid; a
-  local quadratic refinement can be enabled for smooth inputs.
+  local quadratic refinement can be enabled for smooth inputs.  In 1-d the
+  maximizer comes from a near-linear slope search (Lucet's linear-time
+  Legendre transform) that returns the full scan's index on every input,
+  so values are those of the scan bit for bit; the two 2-d stages scan.
 
 All values are immutable after construction and safe to share across
 threads; nothing here mutates shared state.
@@ -348,24 +351,122 @@ def _refine_peak(f0, f1, f2):
     return np.clip(bump, 0.0, cap)
 
 
-def _conjugate_1d(s: np.ndarray, u: np.ndarray, x: np.ndarray, refine: bool):
-    """max_j (x s_j - u_j) for each x, with optional quadratic refinement."""
-    out = np.empty(len(x))
+def _argmax_scan(s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """First ``argmax_j (x s_j - u_j)`` for each ``x``, by scanning every ``j``."""
+    j = np.empty(len(x), dtype=np.intp)
     chunk = max(1, int(4_000_000 // max(len(s), 1)))
     for start in range(0, len(x), chunk):
-        xs = x[start:start + chunk]
-        f = np.outer(xs, s) - u[None, :]
-        j = np.argmax(f, axis=1)
-        rows = np.arange(len(xs))
-        best = f[rows, j]
-        if refine:
-            interior = (j > 0) & (j < len(s) - 1)
-            if interior.any():
-                ji = j[interior]
-                ri = rows[interior]
-                best_i = best[interior] + _refine_peak(f[ri, ji - 1], f[ri, ji], f[ri, ji + 1])
-                best[interior] = best_i
-        out[start:start + chunk] = best
+        j[start:start + chunk] = np.argmax(np.outer(x[start:start + chunk], s) - u, axis=1)
+    return j
+
+
+_WINDOW = 2          # candidates on each side of the slope-sorted guess
+
+
+def _argmax_window(s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The index :func:`_argmax_scan` returns, from a few candidates per ``x``.
+
+    Linear-time conjugation after Lucet (Numer. Algorithms 16, 1997): the
+    objective ``g_j = x s_j - u_j`` rises while the secant slope
+    ``(u_{j+1} - u_j) / (s_{j+1} - s_j)`` is below ``x`` and falls once it
+    is above, so ``x`` sorted into the running maximum of the slopes gives
+    the peak.  The same float expression is evaluated on ``2 * _WINDOW + 1``
+    indices around it and its first maximum taken.  A row is certified when
+    every slope left of the window is below ``x``, and every one right of
+    it above, by more than the rounding of ``x s_j - u_j`` can hide: then
+    every value outside the window is strictly below the window's maximum,
+    on any input, convex or not.  Rows that fail (ties at the recession
+    endpoints, where a sampled tail is linear to rounding) are scanned.
+    """
+    n, width = len(s), 2 * _WINDOW + 1
+    if n <= width:
+        return _argmax_scan(s, u, x)
+    slopes = np.diff(u) / np.diff(s)
+    below = np.maximum.accumulate(slopes)               # largest slope up to k
+    above = np.minimum.accumulate(slopes[::-1])[::-1]   # smallest slope from k on
+    lo = np.clip(np.searchsorted(below, x) - _WINDOW, 0, n - width)
+    idx = lo[:, None] + np.arange(width)
+    k = np.argmax(x[:, None] * s[idx] - u[idx], axis=1)
+    # a value outside lies below the window by at least (slope gap) * (step); the
+    # gap must beat twice the rounding of x s_j - u_j, each at most eps (|x| max|s|
+    # + max|u|) / 2, plus the slopes' own rounding, about 3 eps max|u| per step
+    margin =8.0 * np.finfo(float).eps * (np.abs(x) * np.max(np.abs(s)) + np.max(np.abs(u)))
+    a, b = np.maximum(lo - 1, 0), np.minimum(lo + width - 1, n - 2)   # slopes just outside
+    left = (lo == 0) | ((x - below[a]) * (s[a + 1] - s[a]) > margin)
+    right = (b < lo + width - 1) | ((above[b] - x) * (s[b + 1] - s[b]) > margin)
+    j = lo + k
+    rest = ~(left & right)
+    if rest.any():
+        j[rest] = _argmax_scan(s, u, x[rest])
+    return j
+
+
+def _peak(s: np.ndarray, u: np.ndarray, x: np.ndarray, j: np.ndarray, refine: bool):
+    """``x s_j - u_j`` at the argmax ``j``, plus the capped quadratic bump if ``refine``."""
+    best = x * s[j] - u[j]
+    if refine:
+        interior = (j > 0) & (j < len(s) - 1)
+        if interior.any():
+            ji, xi = j[interior], x[interior]
+            best[interior] += _refine_peak(xi * s[ji - 1] - u[ji - 1], best[interior],
+                                           xi * s[ji + 1] - u[ji + 1])
+    return best
+
+
+def _conjugate_1d(s: np.ndarray, u: np.ndarray, x: np.ndarray, refine: bool):
+    """max_j (x s_j - u_j) for each x, with optional quadratic refinement."""
+    return _peak(s, u, x, _argmax_window(s, u, x), refine)
+
+
+def _row_peaks(s: np.ndarray, v: np.ndarray, x: float, refine: bool) -> np.ndarray:
+    """For one ``x``, ``max_j (x s_j - v[k, j])`` per row ``k`` of ``v`` by a full scan.
+
+    The first maximum and the refinement of :func:`_peak`, with the same
+    float expression, so each row gets what :func:`_peak` gives it.
+    """
+    f = x * s - v
+    j = np.argmax(f, axis=1)
+    rows = np.arange(len(v))
+    best = f[rows, j]
+    if refine:
+        interior = (j > 0) & (j < len(s) - 1)
+        if interior.any():
+            ri, ji = rows[interior], j[interior]
+            best[interior] += _refine_peak(f[ri, ji - 1], best[interior], f[ri, ji + 1])
+    return best
+
+
+def _two_stage(u: GridConvexFunction, x1: np.ndarray, x2s, refine: bool) -> list:
+    """2-d grid conjugate at ``(x1[i], x2s[i][k])``, one array per ``x1[i]``.
+
+    Stage 1 conjugates each ``s2`` column in ``s1`` (convex in ``x1``,
+    concave in ``s2``), all columns at once per ``x1[i]``; stage 2
+    conjugates each such ``s2``-profile.  Both scan: refinement leaves the
+    stage-2 profiles convex only to about its bump, where the window of
+    :func:`_argmax_window` would rarely certify.  The value at a point
+    depends only on that point, not on the others.
+    """
+    s2 = u.axes[1]
+    columns = np.ascontiguousarray(u.values.T)
+    partial = np.array([_row_peaks(u.axes[0], columns, x, refine) for x in x1])
+    return [_peak(s2, q, x2, _argmax_scan(s2, q, x2), refine)
+            for q, x2 in zip(-partial.reshape(len(x1), len(s2)), x2s)]
+
+
+def conjugate_points_2d(u: GridConvexFunction, pts) -> np.ndarray:
+    """Refined 2-d conjugate ``u*`` at each of the ``(N, 2)`` points ``pts``.
+
+    The same two stages and float operations as :func:`legendre_conjugate`
+    with ``refine=True``, run at exactly these points (stage 1 once per
+    distinct first coordinate), so at that function's grid nodes the values
+    agree bit for bit, and elsewhere nothing is interpolated.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    x1, inv = np.unique(pts[:, 0], return_inverse=True)
+    rows = [np.nonzero(inv == i)[0] for i in range(len(x1))]
+    out = np.empty(len(pts))
+    for r, vals in zip(rows, _two_stage(u, x1, [pts[r, 1] for r in rows], True)):
+        out[r] = vals
     return out
 
 
@@ -400,14 +501,7 @@ def legendre_conjugate(u: GridConvexFunction, x_domain: Polytope,
     s1, s2 = u.axes
     x1 = np.linspace(lo_box[0], hi_box[0], res)
     x2 = np.linspace(lo_box[1], hi_box[1], res)
-    # stage 1: partial conjugate in s1 (convex in x1, concave in s2)
-    partial = np.empty((len(x1), len(s2)))
-    for k in range(len(s2)):
-        partial[:, k] = _conjugate_1d(s1, u.values[:, k], x1, refine)
-    # stage 2: conjugate the concave s2-profile for each x1
-    vals = np.empty((len(x1), len(x2)))
-    for i in range(len(x1)):
-        vals[i, :] = _conjugate_1d(s2, -partial[i, :], x2, refine)
+    vals = np.array(_two_stage(u, x1, [x2] * len(x1), refine))
     pts = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
     mask = x_domain.contains(pts, tol=1e-9).reshape(len(x1), len(x2))
     rec = ((float(s1[0]), float(s1[-1])), (float(s2[0]), float(s2[-1])))

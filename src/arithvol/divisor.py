@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import convexcore
-from .convexcore import (GridConvexFunction, Polytope, Region,
+from .convexcore import (GridConvexFunction, Polytope, Region, conjugate_points_2d,
                          integrate_positive_part, legendre_conjugate, shifted_simplex)
 from .errors import (BignessRequiredError, InputError, OutOfRangeError,
                      RecessionError, UnsupportedCenterError)
@@ -150,6 +150,8 @@ def make_divisor(d: int, coeffs: Sequence[float], potential, twist: float = 0.0,
     """
     coeffs = tuple(float(c) for c in coeffs)
     twist = float(twist)
+    if d < 1:
+        raise InputError(f"relative dimension must be at least 1, got {d}")
     if len(coeffs) != d + 1:
         raise InputError(f"need {d + 1} hyperplane coefficients, got {len(coeffs)}")
     if not _all_finite(coeffs + (twist,), potential):
@@ -430,6 +432,20 @@ class ConcaveTransform:
         """Values at a flat batch of points, always an ``(N,)`` array."""
         return self._eval(np.asarray(pts, dtype=float).reshape(-1, self.divisor.d))
 
+    def lattice_values(self, pts) -> list:
+        """Values at the ``(N, d)`` points ``m / n`` of a filtration level, as floats.
+
+        Each point is read as a single call would read it, except on a
+        sampled d=2 transform: its bilinear grid reads low where the body's
+        slanted edge cuts a cell, so there ``-u*/2 + twist/2`` is conjugated
+        at exactly each point (equal to ``grid_values`` at grid nodes).
+        """
+        dv = self.divisor
+        if dv.d == 2 and not self.closed_form:
+            half = -0.5 * conjugate_points_2d(dv.potential.u, pts)
+            return [float(v) for v in half + dv.twist / 2.0]
+        return [float(self(x if dv.d > 1 else x[0])) for x in pts]
+
 
 def _canonical_G(pot: CanonicalFamily, lam: float):
     a = pot.a
@@ -661,10 +677,8 @@ def log_sup_norm_monomial(dv: ToricArithDivisor, n: int, m: Sequence[int]) -> fl
     c = dv.coeffs
     if any(mi + n * ci < -1e-9 for mi, ci in zip(m, c[1:])) or sum(m) > n * c[0] + 1e-9:
         raise OutOfRangeError(f"monomial {m} not admissible at level {n}")
-    transform = concave_transform(dv)
-    x = np.asarray(m, dtype=float) / n
-    g = transform(x if dv.d > 1 else float(x[0]))
-    return -n * float(g)
+    g = concave_transform(dv).lattice_values(np.asarray([m], dtype=float) / n)[0]
+    return -n * g
 
 
 def sup_norm_monomial(dv: ToricArithDivisor, n: int, m: Sequence[int]) -> float:
@@ -701,10 +715,9 @@ def filtration_summary(dv: ToricArithDivisor, n: int) -> FiltrationSummary:
     basis these are the extreme values of ``t``.
     """
     transform = concave_transform(dv)
-    ts = {}
-    for m in admissible_monomials(dv, n):
-        x = np.asarray(m, dtype=float) / n
-        ts[m] = n * float(transform(x if dv.d > 1 else float(x[0])))
+    monomials = admissible_monomials(dv, n)
+    gs = transform.lattice_values(np.asarray(monomials, dtype=float).reshape(-1, dv.d) / n)
+    ts = {m: n * g for m, g in zip(monomials, gs)}
     if not ts:
         raise OutOfRangeError(f"no admissible monomials at level {n}")
     e_min = min(ts.values())
@@ -781,9 +794,8 @@ def mu_R(dv: ToricArithDivisor, center: BaseCondition) -> float:
         return pot.scale * (1.0 - t) if want_max else pot.scale * t
 
     # generic path: minimize the functional over the positive region
-    transform = concave_transform(dv)
     if d == 1:
-        iv = _positive_interval_1d(transform)
+        iv = _positive_interval_1d(concave_transform(dv))
         if iv is None:
             raise BignessRequiredError("positive region is empty")
         lo, hi = iv

@@ -210,6 +210,17 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (out / "results.json").exists()
 
+    @pytest.mark.parametrize("command", [["e-range", "--level", "5"], ["vol"]])
+    def test_validation_error_dimension_zero(self, tmp_path, command, capsys):
+        # e-range raised an IndexError (exit 1) and vol returned 0.0 (exit 0)
+        path = tmp_path / "d0.json"
+        path.write_text(json.dumps({"d": 0, "coeffs": [1.0], "twist": 0.0,
+                                    "potential": {"kind": "canonical", "a": [2.0]}}))
+        out = tmp_path / "out"
+        assert main(["--command", *command, "--divisor", str(path), "--out", str(out)]) == 2
+        assert "relative dimension" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
     def test_bigness_exit(self, div_nonbig, tmp_path):
         assert main(["--command", "mu", "--divisor", div_nonbig,
                      "--mu", "hyperplane:1:0", "--out", str(tmp_path)]) == 3

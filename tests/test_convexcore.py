@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from arithvol.convexcore import (GridConvexFunction, Region, conjugate_value,
-                                 constrained_convex_minorant, convex_hull,
-                                 full_region, golden_max,
+from arithvol import convexcore
+from arithvol.convexcore import (GridConvexFunction, Region, conjugate_points_2d,
+                                 conjugate_value, constrained_convex_minorant, convex_hull,
+                                 discrete_convexity_defect, full_region, golden_max,
                                  grid_function_from_callable,
                                  integrate_positive_part, legendre_conjugate,
                                  shifted_simplex, sliced_interior_nonempty,
                                  sliced_interior_witness)
+from arithvol.divisor import canonical_divisor, sampled_from_divisor
 from arithvol.errors import (InfeasibleError, InputError,
                              UnboundedSupremumError)
 from conftest import random_full_dim_polytope
@@ -144,6 +147,151 @@ class TestLegendreConjugate:
         u = GridConvexFunction(axes=(s,), values=-s ** 2, recession=((-2, 2),))
         with pytest.raises(InputError):
             legendre_conjugate(u, convex_hull([[0.0], [0.1]]))
+
+
+def brute_conjugate(s, u, x, refine):
+    """Reference 1-d grid conjugate: every ``x s_j - u_j``, first maximum, capped bump.
+
+    Returns ``(index, value)`` per ``x``; written out here so that the
+    kernel is checked against code it does not share.
+    """
+    idx, out = [], []
+    for xs in np.array_split(np.asarray(x, dtype=float), max(1, len(x) // 256)):
+        f = xs[:, None] * s[None, :] - u[None, :]
+        j = np.argmax(f, axis=1)
+        r = np.arange(len(xs))
+        best = f[r, j]
+        if refine:
+            inner = (j > 0) & (j < len(s) - 1)
+            ri, ji = r[inner], j[inner]
+            f0, f1, f2 = f[ri, ji - 1], f[ri, ji], f[ri, ji + 1]
+            d2 = f0 - 2.0 * f1 + f2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bump = np.where(d2 < -1e-300, (f0 - f2) ** 2 / (-8.0 * d2), 0.0)
+            best[inner] = f1 + np.clip(bump, 0.0, np.abs(f2 - f0) / 2.0)
+        idx.append(j)
+        out.append(best)
+    return np.concatenate(idx), np.concatenate(out)
+
+
+def assert_kernel_exact(s, u, x, refine):
+    j, ref = brute_conjugate(s, u, x, refine)
+    assert np.array_equal(convexcore._argmax_window(s, u, x), j)
+    assert np.array_equal(convexcore._conjugate_1d(s, u, x, refine), ref)
+
+
+class TestLinearTimeKernel:
+    """The windowed 1-d kernel picks the full scan's index, so values are bit-identical."""
+
+    @pytest.mark.parametrize("n", [501, 2001, 4001])
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_canonical_resamples(self, n, refine):
+        for a in ([1.0, 2.0], [0.3, 2.7]):
+            dv = canonical_divisor(a)
+            u = sampled_from_divisor(dv, n=n)
+            conj = legendre_conjugate(u, dv.body, resolution=n, refine=refine)
+            j, ref = brute_conjugate(u.axes[0], u.values, conj.axes[0], refine)
+            assert np.array_equal(conj.values, ref)
+            assert np.array_equal(
+                convexcore._argmax_window(u.axes[0], u.values, conj.axes[0]), j)
+
+    def test_recession_endpoints(self):
+        # the sampled tails are linear to rounding: the endpoint rows are tie plateaus
+        u = sampled_from_divisor(canonical_divisor([0.25, 2.0]), n=2001)
+        (lo, hi), = u.recession
+        for refine in (True, False):
+            for x in (lo, hi):
+                ref = brute_conjugate(u.axes[0], u.values, [x], refine)[1][0]
+                assert conjugate_value(u, x, refine=refine) == ref
+            assert_kernel_exact(u.axes[0], u.values, np.array([lo, hi]), refine)
+
+    @pytest.mark.parametrize("a", [[0.25, 2.0], [0.3, 2.7], [2.5, 0.4]])
+    def test_within_rounding_of_the_endpoints(self, a):
+        # slopes left and right of the window differ from x by less than the
+        # rounding of x s_j - u_j: only the rounding margin keeps these exact
+        u = sampled_from_divisor(canonical_divisor(a), n=501)
+        (lo, hi), = u.recession
+        steps = np.concatenate([np.arange(1, 200) * 1e-17, np.arange(1, 200) * 1e-15])
+        x = np.concatenate([lo + steps, hi - steps])
+        assert_kernel_exact(u.axes[0], u.values, x, False)
+
+    def test_exact_ties(self):
+        # dyadic slopes on an integer grid: x s_j - u_j is exact, and every x
+        # node equal to a slope ties two or more grid points
+        slopes = np.array([-2, -2, -1.5, -1, -1, -1, -0.25, 0, 0.5, 0.5, 1, 1.75, 2])
+        s = np.arange(len(slopes) + 1, dtype=float) - 6.0
+        u = np.concatenate([[3.0], 3.0 + np.cumsum(slopes)])
+        x = np.linspace(-2.0, 2.0, 17)                      # every multiple of 1/4
+        assert np.isin(slopes, x).all()
+        for refine in (True, False):
+            assert_kernel_exact(s, u, x, refine)
+        grid = GridConvexFunction(axes=(s,), values=u, recession=((-2.0, 2.0),))
+        conj = legendre_conjugate(grid, convex_hull([[-2.0], [2.0]]), resolution=17)
+        assert np.array_equal(conj.values, brute_conjugate(s, u, x, True)[1])
+
+    def test_constrained_minorant_output(self):
+        u = sampled_from_divisor(canonical_divisor([1.0, 2.0]), n=2001)
+        h = constrained_convex_minorant(u, 0.2, 0.7)       # exact tangent tails
+        (lo, hi), = h.recession
+        x = np.linspace(lo, hi, 2001)
+        for refine in (True, False):
+            assert_kernel_exact(h.axes[0], h.values, x, refine)
+
+    def test_small_convexity_defect(self):
+        s = np.linspace(-40.0, 40.0, 2001)
+        u = np.logaddexp(0.0, s)
+        u[100] += 2.5e-10                    # in the tail, linear to rounding
+        grid = GridConvexFunction(axes=(s,), values=u, recession=((0.0, 1.0),))
+        assert -1e-9 < discrete_convexity_defect(u) < -4e-10
+        assert grid.check_convex()
+        x = np.linspace(0.0, 1.0, 2001)
+        for refine in (True, False):
+            assert_kernel_exact(s, u, x, refine)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    def test_short_grids_and_single_x(self, n):
+        s = np.linspace(-1.0, 1.0, n)
+        u = s ** 2
+        for x in (np.array([0.3]), np.linspace(-2.0, 2.0, 9)):
+            for refine in (True, False):
+                assert_kernel_exact(s, u, x, refine)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([-1.5, -1.0, -0.75, -0.5, 0.0, 0.25, 0.3, 1.0, 2.0]),
+                    min_size=1, max_size=40),
+           st.floats(0.01, 3.0), st.floats(-5.0, 5.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    def test_random_convex_grids(self, slopes, h, u0, where):
+        slopes = np.sort(np.asarray(slopes))
+        s = np.linspace(-h * len(slopes) / 2, h * len(slopes) / 2, len(slopes) + 1)
+        u = np.concatenate([[u0], u0 + np.cumsum(slopes * np.diff(s))])
+        lo, hi = slopes[0], slopes[-1]
+        x = np.concatenate([[lo, hi], lo + (hi - lo) * np.asarray(where), slopes])
+        for refine in (True, False):
+            assert_kernel_exact(s, u, x, refine)
+
+
+def test_2d_stages_equal_brute_force():
+    # stage 1 per s2 column, stage 2 per x1 row, each a full scan
+    dv = canonical_divisor([1.0, 2.0, 4.0])
+    u = sampled_from_divisor(dv, s_range=10.0, n=65)
+    conj = legendre_conjugate(u, dv.body, resolution=65, refine=True)
+    (s1, s2), (x1, x2) = u.axes, conj.axes
+    partial = np.column_stack([brute_conjugate(s1, u.values[:, k], x1, True)[1]
+                               for k in range(len(s2))])
+    want = np.array([brute_conjugate(s2, -p, x2, True)[1] for p in partial])
+    assert np.array_equal(conj.values, want)
+
+
+def test_pointwise_2d_conjugate_equals_grid_nodes():
+    dv = canonical_divisor([1.0, 2.0, 4.0])
+    u = sampled_from_divisor(dv, s_range=10.0, n=65)
+    conj = legendre_conjugate(u, dv.body, resolution=65, refine=True)
+    g1, g2 = np.meshgrid(*conj.axes, indexing="ij")
+    pts = np.column_stack([g1.ravel(), g2.ravel()])
+    order = np.random.default_rng(5).permutation(len(pts))      # any order, any subset
+    assert np.array_equal(conjugate_points_2d(u, pts[order]), conj.values.ravel()[order])
+    assert np.array_equal(conjugate_points_2d(u, pts[7:8]), conj.values.ravel()[7:8])
 
 
 # ---------------------------------------------------------------------------

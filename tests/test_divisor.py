@@ -1,6 +1,7 @@
 """Arithmetic divisors: norms, transform, volumes, filtration, multiplicity."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -157,6 +158,13 @@ class TestBuildOnce:
         conj = _count_calls(monkeypatch, divisor, "legendre_conjugate")
         mu_R(dv, BaseCondition("hyperplane", 1, 0.0))
         assert len(conj) == 1
+
+    def test_d2_mu_builds_only_the_transforms_it_reads(self, monkeypatch):
+        # one for is_big, one for positive_region; none for the 1-d branch
+        dv = _sampled([1, 2, 4], s_range=10.0, n=65)
+        built = _count_calls(monkeypatch, divisor, "concave_transform")
+        mu_R(dv, BaseCondition("hyperplane", 1, 0.0))
+        assert len(built) == 2
 
     @pytest.mark.parametrize("a", [[0.25, 2], [1, 2, 4]])
     def test_closed_forms_build_no_hull(self, monkeypatch, a):
@@ -411,6 +419,45 @@ class TestFiltration:
         c = filtration_summary(dv, 1).growth_constant
         for n in (1, 5, 20, 60):
             assert filtration_summary(dv, n).e_max <= c * n + 1e-9
+
+    def test_sampled_d2_levels_are_pointwise_conjugates(self):
+        # at nodes of the transform grid the lattice read is the grid value itself
+        dv = _sampled([1, 2, 4], twist=0.3, s_range=10.0, n=65)
+        transform = concave_transform(dv)
+        ax1, ax2 = transform.grid_axes
+        nodes = np.array([[ax1[i], ax2[k]] for i in (3, 10, 40) for k in (0, 5, 20)])
+        want = [transform.grid_values[i, k] for i in (3, 10, 40) for k in (0, 5, 20)]
+        assert transform.lattice_values(nodes) == want
+        n, m = 8, (3, 2)
+        assert log_sup_norm_monomial(dv, n, m) == -n * transform.lattice_values(
+            np.array([m]) / n)[0]
+        assert filtration_summary(dv, n).t_values[m] == -log_sup_norm_monomial(dv, n, m)
+
+
+# sampled d=2 e-range requests of the benchmark that missed its 1e-3 contract
+# when the transform's bilinear grid was read at the lattice points
+E_RANGE_D2_MISSES = [
+    "sampled_grid-s6-b2-24", "sampled_grid-s8-b4-29", "sampled_grid-s10-b1-54",
+    "sampled_grid-s10-b1-57", "sampled_grid-s11-b4-50", "sampled_grid-s24-b2-18",
+    "sampled_grid-s32-b1-56", "sampled_grid-s32-b2-62", "sampled_grid-s35-b2-16",
+    "sampled_grid-s36-b0-45", "sampled_grid-s38-b5-80"]
+
+
+@pytest.mark.parametrize("rid", E_RANGE_D2_MISSES)
+def test_sampled_d2_e_range_within_contract(rid, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import checks
+    import workloads
+    _, seed, index, k = rid.split("-")
+    req = workloads.block("sampled_grid", int(seed[1:]), int(index[1:]))[int(k)]
+    assert req.id == rid and req.cls.startswith("e-range.sampled.d2")
+    n = int(req.flags[req.flags.index("--level") + 1])
+    summary = filtration_summary(divisor_from_record(req.record), n)
+    # the closed form of the canonical source, per unit level
+    t = checks.closed_form_levels(req.source, n, checks.admissible(req.source, n))
+    assert abs(summary.e_min - t.min()) / n <= checks.TOL_SAMPLED
+    assert abs(summary.e_max - t.max()) / n <= checks.TOL_SAMPLED
 
 
 class TestMuR:
