@@ -28,7 +28,6 @@ conjugation.  Closed-form transforms build no hull.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -144,9 +143,10 @@ def make_divisor(d: int, coeffs: Sequence[float], potential, twist: float = 0.0,
 
     The potential's recession structure must reproduce the body
     ``{x_i >= -c_i, sum x <= c_0}``: canonical tags are checked exactly
-    against their implied coefficients, sampled potentials must be discretely
-    convex with boundary slopes within ``slope_tol`` of the declared
-    recession bounds.
+    against their implied coefficients, sampled potentials must have at
+    least 3 nodes per axis (a second difference to check convexity by) and
+    be discretely convex with boundary slopes within ``slope_tol`` of the
+    declared recession bounds.
     """
     coeffs = tuple(float(c) for c in coeffs)
     twist = float(twist)
@@ -175,6 +175,8 @@ def make_divisor(d: int, coeffs: Sequence[float], potential, twist: float = 0.0,
         u = potential.u
         if u.ndim != d:
             raise InputError("sampled potential dimension mismatch")
+        if min(len(ax) for ax in u.axes) < 3:
+            raise InputError("sampled grids need at least 3 nodes per axis")
         if not u.check_convex():
             raise InputError("sampled potential is not discretely convex")
         width = sum(coeffs)
@@ -435,16 +437,18 @@ class ConcaveTransform:
     def lattice_values(self, pts) -> list:
         """Values at the ``(N, d)`` points ``m / n`` of a filtration level, as floats.
 
-        Each point is read as a single call would read it, except on a
-        sampled d=2 transform: its bilinear grid reads low where the body's
+        The whole batch is read at once.  Closed forms and sampled d=1
+        transforms take one :meth:`values_on` call; their evaluators work
+        elementwise, so each value equals a one-point read bit for bit.  A
+        sampled d=2 transform's bilinear grid reads low where the body's
         slanted edge cuts a cell, so there ``-u*/2 + twist/2`` is conjugated
         at exactly each point (equal to ``grid_values`` at grid nodes).
         """
         dv = self.divisor
         if dv.d == 2 and not self.closed_form:
             half = -0.5 * conjugate_points_2d(dv.potential.u, pts)
-            return [float(v) for v in half + dv.twist / 2.0]
-        return [float(self(x if dv.d > 1 else x[0])) for x in pts]
+            return (half + dv.twist / 2.0).tolist()
+        return self.values_on(pts).tolist()
 
 
 def _canonical_G(pot: CanonicalFamily, lam: float):
@@ -654,21 +658,22 @@ def vol_hat_base(dv: ToricArithDivisor, conditions: Sequence[BaseCondition]) -> 
 # filtration summary
 # ---------------------------------------------------------------------------
 
-def admissible_monomials(dv: ToricArithDivisor, n: int) -> list:
-    """Exponents m with ``n D + (z^m) >= 0`` (integer points of n * body)."""
+def admissible_monomials(dv: ToricArithDivisor, n: int) -> np.ndarray:
+    """Exponents m with ``n D + (z^m) >= 0`` (integer points of n * body).
+
+    One ``(N, d)`` integer array, rows in lexicographic order.
+    """
     if n < 1:
         raise InputError("level must be >= 1")
     c = dv.coeffs
     lows = [math.ceil(-n * c[1 + i] - 1e-9) for i in range(dv.d)]
     if dv.d == 1:
         hi = math.floor(n * c[0] + 1e-9)
-        return [(m,) for m in range(lows[0], hi + 1)]
-    ranges = [range(lows[i], int(math.floor(n * sum(c) + 1e-9)) + 1) for i in range(dv.d)]
-    out = []
-    for m in itertools.product(*ranges):
-        if sum(m) <= n * c[0] + 1e-9:
-            out.append(m)
-    return out
+        return np.arange(lows[0], hi + 1).reshape(-1, 1)
+    top = int(math.floor(n * sum(c) + 1e-9))
+    grids = np.meshgrid(*(np.arange(lo, top + 1) for lo in lows), indexing="ij")
+    ms = np.stack([g.ravel() for g in grids], axis=-1)
+    return ms[ms.sum(axis=1) <= n * c[0] + 1e-9]
 
 
 def log_sup_norm_monomial(dv: ToricArithDivisor, n: int, m: Sequence[int]) -> float:
@@ -716,8 +721,8 @@ def filtration_summary(dv: ToricArithDivisor, n: int) -> FiltrationSummary:
     """
     transform = concave_transform(dv)
     monomials = admissible_monomials(dv, n)
-    gs = transform.lattice_values(np.asarray(monomials, dtype=float).reshape(-1, dv.d) / n)
-    ts = {m: n * g for m, g in zip(monomials, gs)}
+    gs = transform.lattice_values(monomials / n)
+    ts = {m: n * g for m, g in zip(map(tuple, monomials.tolist()), gs)}
     if not ts:
         raise OutOfRangeError(f"no admissible monomials at level {n}")
     e_min = min(ts.values())

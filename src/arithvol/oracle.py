@@ -10,7 +10,9 @@ is calibrated once against exact enumeration at tiny levels.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,7 +21,7 @@ import numpy as np
 
 from .convexcore import golden_max
 from .divisor import (BaseCondition, CanonicalFamily, ToricArithDivisor,
-                      _potential_values, admissible_monomials, log_sup_norm_monomial)
+                      _potential_values, admissible_monomials, concave_transform)
 from .errors import InputError
 
 _GUARD = 1e-9
@@ -28,8 +30,13 @@ _GUARD = 1e-9
 @dataclass(frozen=True)
 class SectionEntry:
     exponents: tuple
-    log_radius: float                     # log(1 / norm)
-    radius_sq: Optional[Fraction] = None  # exact when available
+    log_radius: float                      # log(1 / norm)
+    radius_ratio: Optional[tuple] = None   # exact squared radius, unreduced (num, den)
+
+    @property
+    def radius_sq(self) -> Optional[Fraction]:
+        """The exact squared radius, or None where only ``log_radius`` is known."""
+        return None if self.radius_ratio is None else Fraction(*self.radius_ratio)
 
 
 @dataclass(frozen=True)
@@ -42,22 +49,42 @@ class SectionEnumeration:
         return len(self.entries)
 
 
-def _exact_radius_sq(pot: CanonicalFamily, lam: float, n: int, m) -> Optional[Fraction]:
-    # R^2 = prod (n a_i / m_i)^{m_i}; exact only for the untwisted, unscaled family
-    if lam != 0.0 or pot.scale != 1.0 or any(pot.shift):
-        return None
-    ms = [n - sum(m)] + list(m)
-    if any(m_i < 0 for m_i in ms):
-        return None
-    result = Fraction(1)
-    for a_i, m_i in zip(pot.a, ms):
-        if m_i > 0:
-            result *= (Fraction(n) * Fraction(a_i) / Fraction(m_i)) ** m_i
-    return result
+def _exact_radii_sq(a, n: int, exponents) -> list:
+    """``R^2 = prod (n a_i / m_i)^{m_i}`` per monomial, as unreduced integer ratios ``(num, den)``.
+
+    Each ``a_i`` enters as ``float.as_integer_ratio() = (p_i, 2^s_i)``, so
+    ``den = prod m_i^{m_i} << sum s_i m_i``.  Nothing is reduced: non-dyadic
+    ``a_i`` carry ``2^53`` denominators, and the gcds of a ``Fraction``
+    would cost more than every use of the ratio.  The powers come from
+    per-level tables over ``k = 0..n``, which hold every ``m_i`` once all
+    are nonnegative; a monomial with a negative one has no exact radius.
+    """
+    ratios = [a_i.as_integer_ratio() for a_i in a]
+    num_pows = [list(itertools.accumulate(itertools.repeat(n * p, n), operator.mul, initial=1))
+                for p, _ in ratios]
+    self_pows = [k ** k for k in range(n + 1)]      # 0 ** 0 == 1
+    shifts = [q.bit_length() - 1 for _, q in ratios]
+    out = []
+    for m in exponents:
+        ms = (n - sum(m),) + m
+        if min(ms) < 0:
+            out.append(None)
+            continue
+        num, den, shift = 1, 1, 0
+        for pows, s_i, m_i in zip(num_pows, shifts, ms):
+            num *= pows[m_i]
+            den *= self_pows[m_i]
+            shift += s_i * m_i
+        out.append((num, den << shift))
+    return out
 
 
-def _center_mult_of_section(dv: ToricArithDivisor, n: int, m, center: BaseCondition) -> float:
-    """mult at a horizontal center of ``n D + (z^m)`` (monomial section)."""
+def _center_mult_of_section(dv: ToricArithDivisor, n: int, m, center: BaseCondition):
+    """mult at a horizontal center of ``n D + (z^m)`` (monomial section).
+
+    ``m`` holds the d exponents, each an int or an integer array (one entry
+    per monomial); the float operations are the same either way.
+    """
     c = dv.coeffs
     i = center.index
     if center.kind == "hyperplane":
@@ -75,33 +102,41 @@ def enumerate_sections(dv: ToricArithDivisor, n: int,
     """All admissible monomials at level n, with their coefficient radii.
 
     Horizontal base conditions filter the monomials; vertical conditions are
-    recorded and applied at the counting step.
+    recorded and applied at the counting step.  The kept monomials are read
+    off the transform in one batch.  Squared radii are exact, as unreduced
+    integer ratios, for the untwisted, unscaled canonical family.
     """
     if n < 1:
         raise InputError("level must be >= 1")
+    ms = admissible_monomials(dv, n)
+    keep = np.ones(len(ms), dtype=bool)
+    for c in conditions:
+        if c.kind != "fiber":
+            keep &= _center_mult_of_section(dv, n, ms.T, c) >= n * c.bound - _GUARD
+    ms = ms[keep]
+    gs = concave_transform(dv).lattice_values(ms / n)
+    exponents = list(map(tuple, ms.tolist()))
     pot = dv.potential
-    entries = []
-    horizontal = [c for c in conditions if c.kind != "fiber"]
-    for m in sorted(admissible_monomials(dv, n)):
-        keep = all(_center_mult_of_section(dv, n, m, c) >= n * c.bound - _GUARD
-                   for c in horizontal)
-        if not keep:
-            continue
-        log_r = -log_sup_norm_monomial(dv, n, m)
-        r2 = _exact_radius_sq(pot, dv.twist, n, m) if isinstance(pot, CanonicalFamily) else None
-        entries.append(SectionEntry(exponents=m, log_radius=log_r, radius_sq=r2))
-    return SectionEnumeration(level=n, entries=tuple(entries), conditions=tuple(conditions))
+    if (isinstance(pot, CanonicalFamily) and dv.twist == 0.0 and pot.scale == 1.0
+            and not any(pot.shift)):
+        exact = _exact_radii_sq(pot.a, n, exponents)
+    else:
+        exact = [None] * len(exponents)
+    entries = tuple(SectionEntry(exponents=m, log_radius=n * g, radius_ratio=r)
+                    for m, g, r in zip(exponents, gs, exact))
+    return SectionEnumeration(level=n, entries=entries, conditions=tuple(conditions))
 
 
 def _floor_radius(entry: SectionEntry, divide_by: int = 1, multiply_by: int = 1) -> int:
     """floor(R * multiply / divide); exact when the squared radius is rational.
 
+    With ``R^2 = P / Q`` unreduced, ``floor(sqrt(P / Q)) = isqrt(P Q) // Q``.
     Boundary ties count the section in (the defining inequalities are
     non-strict), hence the guard band on the floating path.
     """
-    if entry.radius_sq is not None:
-        r2 = entry.radius_sq * Fraction(multiply_by, 1) ** 2 / Fraction(divide_by, 1) ** 2
-        p, q = r2.numerator, r2.denominator
+    if entry.radius_ratio is not None:
+        num, den = entry.radius_ratio
+        p, q = num * multiply_by ** 2, den * divide_by ** 2
         return math.isqrt(p * q) // q
     val = entry.log_radius + math.log(multiply_by) - math.log(divide_by)
     if val > 650:   # would overflow exp; count is astronomically large anyway
@@ -168,8 +203,8 @@ def mu_Q_approx(dv: ToricArithDivisor, center: BaseCondition,
         enum = enumerate_sections(dv, n)
         level_best = math.inf
         for entry in enum.entries:
-            integral = (entry.radius_sq >= 1) if entry.radius_sq is not None \
-                else entry.log_radius >= -1e-12
+            ratio = entry.radius_ratio
+            integral = ratio[0] >= ratio[1] if ratio is not None else entry.log_radius >= -1e-12
             if not integral:
                 continue
             if center.kind == "fiber":

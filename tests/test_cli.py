@@ -48,6 +48,11 @@ def read_results(out_dir):
         return json.load(fh)
 
 
+def _read(path, mode="r"):
+    with open(path, mode) as fh:
+        return fh.read()
+
+
 class TestCommands:
     def test_vol(self, div22, tmp_path):
         out = str(tmp_path / "out")
@@ -75,7 +80,7 @@ class TestCommands:
         assert main(["--command", "body", "--divisor", div22, "--level", "4",
                      "--mu", "hyperplane:1:0.5", "--out", out]) == 0
         rows = [line.split("\t") for line in
-                open(os.path.join(out, "body_vertices.tsv")).read().splitlines()[1:]]
+                _read(os.path.join(out, "body_vertices.tsv")).splitlines()[1:]]
         xs = sorted(float(r[0]) for r in rows)
         assert xs == pytest.approx([0.5, 1.0])
 
@@ -92,7 +97,7 @@ class TestCommands:
                      "--twist-range", "0:1.6", "--out", out]) == 0
         res = read_results(out)
         assert res["monotone"] is True
-        lines = open(os.path.join(out, "mu_profile.tsv")).read().splitlines()
+        lines = _read(os.path.join(out, "mu_profile.tsv")).splitlines()
         assert len(lines) == 22   # header + 21 rows
 
     def test_e_range(self, div22, tmp_path):
@@ -221,6 +226,19 @@ class TestExitCodes:
         assert "relative dimension" in capsys.readouterr().err
         assert not (out / "results.json").exists()
 
+    def test_validation_error_two_node_sampled_grid(self, tmp_path, capsys):
+        # a 2x2 grid has no second difference to check convexity by; it ran
+        # with exit 0, vol 39.9998510791 and an IntegrationWarning
+        path = tmp_path / "grid2.json"
+        path.write_text(json.dumps({"d": 2, "coeffs": [1.0, 0.0, 0.0], "twist": 0.0,
+                                    "potential": {"kind": "sampled", "s_min": -40.0,
+                                                  "s_max": 40.0,
+                                                  "values": [[80.0, 40.0], [40.0, 80.0]]}}))
+        out = tmp_path / "out"
+        assert main(["--command", "vol", "--divisor", str(path), "--out", str(out)]) == 2
+        assert "3 nodes" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
     def test_bigness_exit(self, div_nonbig, tmp_path):
         assert main(["--command", "mu", "--divisor", div_nonbig,
                      "--mu", "hyperplane:1:0", "--out", str(tmp_path)]) == 3
@@ -244,8 +262,8 @@ class TestDeterminismAndRoundTrip:
                          "--seed", "11", "--out", out]) == 0
             outs.append(out)
         for fname in ("results.json", "zariski_report.json"):
-            b1 = open(os.path.join(outs[0], fname), "rb").read()
-            b2 = open(os.path.join(outs[1], fname), "rb").read()
+            b1 = _read(os.path.join(outs[0], fname), "rb")
+            b2 = _read(os.path.join(outs[1], fname), "rb")
             assert b1 == b2
 
     def test_prop_suite_deterministic(self, div22, tmp_path):
@@ -254,14 +272,15 @@ class TestDeterminismAndRoundTrip:
             out = str(tmp_path / name)
             assert main(["--command", "prop-suite", "--divisor", div22,
                          "--trials", "4", "--seed", "3", "--out", out]) == 0
-            blobs.append(open(os.path.join(out, "prop_report.json"), "rb").read())
+            blobs.append(_read(os.path.join(out, "prop_report.json"), "rb"))
         assert blobs[0] == blobs[1]
 
     def test_divisor_record_reparses_equal(self, div22, tmp_path):
         out = str(tmp_path / "out")
         main(["--command", "vol", "--divisor", div22, "--out", out])
         echoed = read_results(out)["divisor"]
-        original = json.load(open(div22))
+        with open(div22) as fh:
+            original = json.load(fh)
         dv1 = divisor_from_record(echoed)
         dv2 = divisor_from_record(original)
         assert dv1 == dv2

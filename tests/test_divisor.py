@@ -110,6 +110,17 @@ class TestMakeDivisor:
         with pytest.raises(InputError, match="finite"):
             make_divisor(1, [1.0, 0.0], SampledConvex(bad))
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 5), (5, 2), (2, 2)])
+    def test_sampled_grid_needs_three_nodes_per_axis(self, shape):
+        # a 2-node axis has no second difference, so convexity is unchecked there
+        axes = tuple(np.linspace(-40.0, 40.0, k) for k in shape)
+        grids = np.meshgrid(*axes, indexing="ij")
+        values = 40.0 + np.abs(sum(grids)) / 2.0
+        rec = ((0.0, 1.0),) * len(shape)
+        u = GridConvexFunction(axes=axes, values=values, recession=rec)
+        with pytest.raises(InputError, match="3 nodes"):
+            make_divisor(len(shape), [1.0] + [0.0] * len(shape), SampledConvex(u))
+
 
 def _count_calls(monkeypatch, module, name):
     """Record each call of ``module.name`` (the list grows by one per call)."""
@@ -184,6 +195,78 @@ class TestBuildOnce:
                                               resolution=2001, refine=True)
         assert np.array_equal(twisted.grid_values, -0.5 * fresh.values + lam / 2.0)
         assert np.array_equal(twisted.grid_axes[0], fresh.axes[0])
+
+
+def _one_point_reads(transform, pts):
+    """Each point read on its own: a transform call, or on sampled d=2 a one-point lattice read."""
+    d = transform.divisor.d
+    if d == 2 and not transform.closed_form:
+        return [transform.lattice_values(p[None, :])[0] for p in pts]
+    return [float(transform(p if d > 1 else p[0])) for p in pts]
+
+
+LATTICE_DIVISORS = {
+    "canonical-d1": lambda: canonical_divisor([0.4, 1.7]),
+    "canonical-d1-scaled": lambda: scale_divisor(canonical_divisor([0.4, 1.7]), 1.3),
+    "canonical-d1-shifted-twisted": lambda: principal_twist(
+        canonical_divisor([0.4, 1.7], twist=0.3), [0.6]),
+    "canonical-d2": lambda: canonical_divisor([1, 2, 4]),
+    "canonical-d2-scaled-shifted-twisted": lambda: principal_twist(
+        scale_divisor(canonical_divisor([0.3, 0.7, 1.1], twist=-0.2), 0.9), [0.25, -0.5]),
+    "sum-d1": lambda: add_divisors(canonical_divisor([0.5, 1.5]),
+                                   canonical_divisor([2, 0.3], twist=0.1)),
+    "sampled-d1": lambda: _sampled([1.2, 0.9], twist=0.1, n=501),
+    "sampled-d2": lambda: _sampled([1, 2, 4], twist=0.3, s_range=10.0, n=65),
+}
+
+
+class TestBatchedLatticeReads:
+    """One batched lattice read equals one-point reads exactly, not within a tolerance."""
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_DIVISORS))
+    def test_batch_equals_one_point_reads(self, name):
+        dv = LATTICE_DIVISORS[name]()
+        transform = concave_transform(dv)
+        n = 7
+        ms = divisor.admissible_monomials(dv, n)
+        pts = ms / n
+        got = transform.lattice_values(pts)
+        assert got == _one_point_reads(transform, pts)
+        assert all(isinstance(v, float) for v in got)
+        assert transform.lattice_values(pts[:1]) == got[:1]                    # N = 1
+        assert transform.lattice_values(np.empty((0, dv.d))) == []            # N = 0
+
+    @pytest.mark.parametrize("name", ["canonical-d1", "canonical-d2", "sampled-d1"])
+    def test_body_boundary_points(self, name):
+        # the body's vertices, where the canonical form reads 0 log 0
+        dv = LATTICE_DIVISORS[name]()
+        transform = concave_transform(dv)
+        pts = np.asarray(dv.body.vertices, dtype=float)
+        got = transform.lattice_values(pts)
+        assert got == _one_point_reads(transform, pts)
+        assert np.all(np.isfinite(got))
+        if transform.closed_form:
+            a = np.asarray(dv.potential.a)
+            assert sorted(got) == pytest.approx(sorted(0.5 * np.log(a)), abs=1e-15)
+
+    def test_admissible_monomials_lexicographic(self):
+        dv = principal_twist(canonical_divisor([1, 2, 4]), [0.5, -0.25])
+        n = 6
+        ms = divisor.admissible_monomials(dv, n)
+        rows = [tuple(m) for m in ms.tolist()]
+        assert ms.dtype.kind == "i" and ms.shape == (len(rows), 2)
+        assert rows == sorted(rows)
+        c = dv.coeffs
+        assert all(m1 >= -n * c[1] - 1e-9 and m2 >= -n * c[2] - 1e-9
+                   and m1 + m2 <= n * c[0] + 1e-9 for m1, m2 in rows)
+        assert len(rows) == len(filtration_summary(dv, n).t_values)
+
+    def test_filtration_summary_reads_one_batch(self, monkeypatch):
+        dv = canonical_divisor([1, 2, 4])
+        calls = _count_calls(monkeypatch, divisor.ConcaveTransform, "values_on")
+        summary = filtration_summary(dv, 12)
+        assert len(calls) == 1
+        assert len(summary.t_values) == 91
 
 
 class TestSupNorm:

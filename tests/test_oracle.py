@@ -1,10 +1,13 @@
 """Brute-force oracle: enumeration, box counts, multiplicity bounds, norms."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from arithvol.divisor import (BaseCondition, SampledConvex, canonical_divisor,
+from arithvol import oracle
+from arithvol.divisor import (BaseCondition, CanonicalFamily, SampledConvex, canonical_divisor,
                               log_sup_norm_monomial, make_divisor, mu_R,
                               principal_twist, sampled_from_divisor, sup_norm_monomial,
                               vol_hat, vol_hat_base, with_twist)
@@ -34,6 +37,110 @@ class TestEnumeration:
         enum = enumerate_sections(canonical_divisor([1, 2, 4]), 3)
         exps = [e.exponents for e in enum.entries]
         assert exps == sorted(exps)
+
+
+def _reference_sections(dv, n, conditions=()):
+    """Per-monomial reference: one sup-norm read and one ``Fraction`` product per monomial."""
+    c = dv.coeffs
+    lows = [math.ceil(-n * c[1 + i] - 1e-9) for i in range(dv.d)]
+    top = math.floor(n * sum(c) + 1e-9)
+    pot = dv.potential
+    exact = (isinstance(pot, CanonicalFamily) and dv.twist == 0.0 and pot.scale == 1.0
+             and not any(pot.shift))
+    out = []
+    for m in itertools.product(*(range(lo, top + 1) for lo in lows)):
+        if sum(m) > n * c[0] + 1e-9:
+            continue
+        beta = [n * c[0] - sum(m)] + [n * c[j + 1] + m[j] for j in range(dv.d)]
+        mults = [beta[cond.index] if cond.kind == "hyperplane"
+                 else sum(b for j, b in enumerate(beta) if j != cond.index)
+                 for cond in conditions if cond.kind != "fiber"]
+        if any(mult < n * cond.bound - 1e-9 for mult, cond in
+               zip(mults, [cond for cond in conditions if cond.kind != "fiber"])):
+            continue
+        r2 = None
+        if exact:
+            r2 = Fraction(1)
+            for a_i, m_i in zip(pot.a, [n - sum(m)] + list(m)):
+                if m_i > 0:
+                    r2 *= (Fraction(n) * Fraction(a_i) / Fraction(m_i)) ** m_i
+        out.append((m, -log_sup_norm_monomial(dv, n, m), r2))
+    return out
+
+
+ENUM_DIVISORS = {
+    "non-dyadic": lambda: canonical_divisor([0.4, 0.8]),
+    "canonical-d2": lambda: canonical_divisor([1, 2, 4]),
+    "twisted-shifted": lambda: principal_twist(canonical_divisor([0.3, 1.7], twist=0.2), [0.4]),
+    "sampled-d1": lambda: make_divisor(1, (1.0, 0.0), SampledConvex(
+        sampled_from_divisor(canonical_divisor([1.2, 0.9]), n=501))),
+}
+ENUM_CONDITIONS = {
+    "none": (),
+    "horizontal-and-fiber": (BaseCondition("hyperplane", 1, 0.25), BaseCondition("fiber", 3, 0.2)),
+    "point-and-fiber": (BaseCondition("point", 0, 0.1), BaseCondition("fiber", 2, 0.5)),
+    "removes-all": (BaseCondition("hyperplane", 0, 5.0),),
+}
+
+
+class TestBatchedEnumeration:
+    """The batched enumeration equals per-monomial reads and exact ``Fraction`` radii."""
+
+    @pytest.mark.parametrize("cond", sorted(ENUM_CONDITIONS))
+    @pytest.mark.parametrize("name", sorted(ENUM_DIVISORS))
+    def test_equals_per_monomial_reference(self, name, cond):
+        dv, conditions = ENUM_DIVISORS[name](), ENUM_CONDITIONS[cond]
+        for n in (1, 9, 23):
+            enum = enumerate_sections(dv, n, conditions)
+            got = [(e.exponents, e.log_radius, e.radius_sq) for e in enum.entries]
+            assert got == _reference_sections(dv, n, conditions)
+            assert all(type(x) is int for e in enum.entries for x in e.exponents)
+            if cond == "removes-all":
+                assert got == [] and log_count(dv, n, conditions) == 0.0
+
+    def test_non_dyadic_floors_equal_reduced_fractions(self):
+        dv = canonical_divisor([0.4, 0.8])
+        for n in (7, 60, 150):
+            for entry in enumerate_sections(dv, n).entries:
+                r2 = entry.radius_sq
+                assert r2 is not None and r2.denominator > 1
+                for divide, multiply in ((1, 1), (3, 1), (1, 5), (4, 9)):
+                    s = r2 * multiply ** 2 / divide ** 2
+                    want = math.isqrt(s.numerator * s.denominator) // s.denominator
+                    assert oracle._floor_radius(entry, divide, multiply) == want
+
+    @pytest.mark.parametrize("num, den", [(15, 3), (27, 4), (8, 2), (99, 100),
+                                          (10 ** 40 + 1, 10 ** 40), (2 ** 60, 3 ** 20)])
+    def test_floor_radius_of_unreduced_ratios(self, num, den):
+        # isqrt(P Q) // Q floors sqrt(P / Q) whether or not P / Q is reduced
+        for k in (1, 3, 2 ** 53):
+            entry = oracle.SectionEntry((0,), 0.0, radius_ratio=(num * k, den * k))
+            for divide, multiply in ((1, 1), (2, 1), (1, 3)):
+                r2 = Fraction(num, den) * multiply ** 2 / divide ** 2
+                want = math.isqrt(r2.numerator * r2.denominator) // r2.denominator
+                assert oracle._floor_radius(entry, divide, multiply) == want
+
+    def test_non_dyadic_integrality_matches_fractions(self):
+        dv = canonical_divisor([0.4, 0.8])
+        center = BaseCondition("hyperplane", 1, 0.0)
+        levels = list(range(1, 41))
+        best, want = math.inf, []
+        for n in levels:
+            level = [oracle._center_mult_of_section(dv, n, e.exponents, center) / n
+                     for e in enumerate_sections(dv, n).entries if e.radius_sq >= 1]
+            best = min([best] + level)
+            if math.isfinite(best):
+                want.append((n, best))
+        assert mu_Q_approx(dv, center, levels).values == tuple(want)
+
+    def test_one_transform_per_level(self, monkeypatch):
+        dv = canonical_divisor([1, 2, 4])
+        built = []
+        original = oracle.concave_transform
+        monkeypatch.setattr(oracle, "concave_transform",
+                            lambda d: built.append(d) or original(d))
+        enum = enumerate_sections(dv, 20)
+        assert len(enum) == 231 and len(built) == 1
 
 
 class TestLogCount:

@@ -12,12 +12,17 @@ faster; this sweep reaches every block asked for.
 
 Prints each failing request by id and class and one line per seed, and
 exits 1 if any request failed.  ``--seeds`` and ``--blocks`` take ranges
-``a-b`` (inclusive) or comma lists.
+``a-b`` (inclusive) or comma lists.  With ``--digits`` it also prints, per
+seed, the minimum correct digits over each block's checked values: the
+floor that ``accuracy_digits`` reads when a run reaches that block.
+
+    python3 tools/sweep.py --workload oracle_levels --seeds 1-3 --blocks 0-44 --digits
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,20 +42,29 @@ def _ints(text: str) -> list:
     return out
 
 
-def sweep(cli, workload: str, seeds, blocks, log=print) -> list:
+def _block_digits(block_rows) -> str:
+    """Each block's minimum checked digits, as ``block:digits`` pairs."""
+    return " ".join(f"{b}:{min(bench._summary(rows)[2], default=math.nan):.4f}"
+                    for b, rows in block_rows)
+
+
+def sweep(cli, workload: str, seeds, blocks, log=print, digits=False) -> list:
     """Run and check every block; returns the failed rows."""
     failed = []
     for seed in seeds:
         run = bench.Run(cli, workload, seed)
         try:
-            rows = [r for b in blocks for r in run.execute(b)[1]]
+            block_rows = [(b, run.execute(b)[1]) for b in blocks]
         finally:
             run.cleanup()
+        rows = [r for _, rs in block_rows for r in rs]
         bad, known, _ = bench._summary(rows)
         for row in bad:
             oc = row["outcome"]
             log(f"FAILED {row['req'].id} [{row['req'].cls}]: " + "; ".join(oc.problems + oc.misses))
         log(f"seed {seed}: {len(rows)} requests, {len(bad)} failed, {len(known)} known misses")
+        if digits:
+            log(f"seed {seed} min digits by block: {_block_digits(block_rows)}")
         failed.extend(bad)
     return failed
 
@@ -60,8 +74,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", required=True, type=_ints)
     parser.add_argument("--blocks", default="0-1", type=_ints)
+    parser.add_argument("--digits", action="store_true",
+                        help="print each block's minimum checked digits per seed")
     args = parser.parse_args(argv)
-    failed = sweep(bench._import_cli(), args.workload, args.seeds, args.blocks)
+    failed = sweep(bench._import_cli(), args.workload, args.seeds, args.blocks,
+                   digits=args.digits)
     print(f"{len(failed)} failed requests on {args.workload}: "
           f"{len(args.seeds)} seeds x {len(args.blocks)} blocks")
     return 1 if failed else 0
