@@ -169,7 +169,7 @@ def log_count(dv: ToricArithDivisor, n: int, conditions: Sequence[BaseCondition]
     total = 0.0
     for entry in enum.entries:
         k = _floor_radius(entry, divide_by=divide, multiply_by=multiply)
-        if entry.radius_sq is None and entry.log_radius + math.log(multiply) - math.log(divide) > 650:
+        if entry.radius_ratio is None and entry.log_radius + math.log(multiply) - math.log(divide) > 650:
             total += entry.log_radius + math.log(multiply) - math.log(divide) + math.log(2.0)
         elif k > 0:
             total += math.log(2 * k + 1)

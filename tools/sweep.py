@@ -10,13 +10,11 @@ timed.  A benchmark run reaches only the blocks its speed allows in
 ``--seconds``, so a fault in a later block shows only once the program gets
 faster; this sweep reaches every block asked for.
 
-Prints each failing request by id and class and one line per seed, and
-exits 1 if any request failed.  ``--seeds`` and ``--blocks`` take ranges
-``a-b`` (inclusive) or comma lists.  With ``--digits`` it also prints, per
-seed, the minimum correct digits over each block's checked values: the
-floor that ``accuracy_digits`` reads when a run reaches that block.
-
-    python3 tools/sweep.py --workload oracle_levels --seeds 1-3 --blocks 0-44 --digits
+Prints each failing request by id and class, and two lines per seed: the
+counts, and the minimum correct digits over each block's checked values (the
+floor that ``accuracy_digits`` reads when a run reaches that block).  Exits 1
+if any request failed.  ``--seeds`` and ``--blocks`` take ranges ``a-b``
+(inclusive) or comma lists.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ def _block_digits(block_rows) -> str:
                     for b, rows in block_rows)
 
 
-def sweep(cli, workload: str, seeds, blocks, log=print, digits=False) -> list:
+def sweep(cli, workload: str, seeds, blocks, log=print) -> list:
     """Run and check every block; returns the failed rows."""
     failed = []
     for seed in seeds:
@@ -63,8 +61,7 @@ def sweep(cli, workload: str, seeds, blocks, log=print, digits=False) -> list:
             oc = row["outcome"]
             log(f"FAILED {row['req'].id} [{row['req'].cls}]: " + "; ".join(oc.problems + oc.misses))
         log(f"seed {seed}: {len(rows)} requests, {len(bad)} failed, {len(known)} known misses")
-        if digits:
-            log(f"seed {seed} min digits by block: {_block_digits(block_rows)}")
+        log(f"seed {seed} min digits by block: {_block_digits(block_rows)}")
         failed.extend(bad)
     return failed
 
@@ -74,11 +71,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", required=True, type=_ints)
     parser.add_argument("--blocks", default="0-1", type=_ints)
-    parser.add_argument("--digits", action="store_true",
-                        help="print each block's minimum checked digits per seed")
     args = parser.parse_args(argv)
-    failed = sweep(bench._import_cli(), args.workload, args.seeds, args.blocks,
-                   digits=args.digits)
+    failed = sweep(bench._import_cli(), args.workload, args.seeds, args.blocks)
     print(f"{len(failed)} failed requests on {args.workload}: "
           f"{len(args.seeds)} seeds x {len(args.blocks)} blocks")
     return 1 if failed else 0
