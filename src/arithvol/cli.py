@@ -52,9 +52,12 @@ def _round_floats(obj):
 
 
 def _write_json(path: str, payload: dict):
+    try:
+        text = json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ToleranceError(f"{os.path.basename(path)}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(_round_floats(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_table(path: str, rows, header):
@@ -271,10 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()     # parse_args leaves it unchanged and copies the --mu default
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

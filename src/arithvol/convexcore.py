@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq, linprog  # noqa: F401  (brentq: perfbench/spans.py counts through it)
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull as _SciHull
 
@@ -642,6 +642,76 @@ def golden_max(fun: Callable, lo, hi, xtol: float = 1e-10):
     return best_x, best_f
 
 
+_BRENT_RTOL, _BRENT_ITER = 4 * float(np.finfo(float).eps), 100    # scipy's brentq defaults
+
+
+def _div(p: float, q: float) -> float:
+    """``p / q`` on Python floats with C's IEEE result, ±inf or nan, where Python raises."""
+    if q != 0.0:
+        return p / q
+    return math.nan if p == 0.0 or p != p else math.copysign(math.inf, p) * math.copysign(1.0, q)
+
+
+def _brent(xpre: float, xcur: float, fpre: float, fcur: float, xtol: float):
+    """One bracket of scipy's ``brentq.c``, step for step: yields each iterate, is sent its value."""
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError(f"The function value at an end of [{xpre}, {xcur}] is NaN")
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:       # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:                  # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if good else (sbis, sbis)
+        else:                      # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
+
+
+def brent_roots(fun: Callable, brackets, xtol: float) -> list:
+    """Roots of ``fun`` in each bracket ``(a, b, fun(a), fun(b))``, as a list of floats.
+
+    Each root is ``scipy.optimize.brentq(fun, a, b, xtol=xtol)`` bit for bit (a port
+    of its iteration on Python floats, errors included).  The brackets advance together:
+    ``fun`` maps the array of live iterates elementwise, once per round, and no end is read.
+    """
+    runs = [_brent(float(a), float(b), float(fa), float(fb), xtol) for a, b, fa, fb in brackets]
+    roots, live, values = [None] * len(runs), range(len(runs)), [None] * len(runs)
+    while live:
+        step, xs = [], []
+        for k, fx in zip(live, values):      # the first send starts each run
+            try:
+                xs.append(runs[k].send(fx))
+                step.append(k)
+            except StopIteration as done:
+                roots[k] = done.value
+        live, values = step, (fun(np.array(xs)).tolist() if xs else [])
+    return roots
+
+
 # ---------------------------------------------------------------------------
 # regions and quadrature
 # ---------------------------------------------------------------------------
@@ -717,16 +787,19 @@ def _positive_support(fun, lo, hi, probes):
 
     ``fun`` is concave, so its positive set is one interval: the first and
     last positive of ``probes`` equispaced probes are moved out to the roots
-    toward their outer neighbours.  ``fun`` takes the probe array and, for
-    the root search, single points.
+    toward their outer neighbours, both ends in one :func:`brent_roots` from
+    the probe values.  ``fun`` maps an array of points to their values.
     """
     xs = np.linspace(lo, hi, probes)
-    idx = np.nonzero(fun(xs) > 0.0)[0]
+    vs = fun(xs)
+    idx = np.nonzero(vs > 0.0)[0]
     if not len(idx):
         return None
     i, j = idx[0], idx[-1]
-    a = xs[i] if i == 0 else brentq(fun, xs[i - 1], xs[i], xtol=1e-14)
-    b = xs[j] if j == probes - 1 else brentq(fun, xs[j], xs[j + 1], xtol=1e-14)
+    outer = [k for k in (i - 1, j) if 0 <= k < probes - 1]     # brackets [xs[k], xs[k + 1]]
+    roots = iter(brent_roots(fun, [(xs[k], xs[k + 1], vs[k], vs[k + 1]) for k in outer], 1e-14))
+    a = next(roots) if i > 0 else xs[i]
+    b = next(roots) if j < probes - 1 else xs[j]
     return (a, b) if b > a else None
 
 
@@ -795,9 +868,6 @@ def integrate_positive_part(transform, region: Region, shift: float = 0.0,
             return 0.0
 
         def g(y):
-            # the root search passes single points, the probes and nodes arrays
-            if np.ndim(y) == 0:
-                return transform((x1, y)) - shift
             return transform(np.column_stack([np.full(len(y), x1), y])) - shift
 
         iv = _positive_support(g, lo2, hi2, 129)

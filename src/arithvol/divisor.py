@@ -47,16 +47,6 @@ DEFAULT_GRID_2D = 257
 BIGNESS_TOL = 1e-12
 
 
-def _xlog(t: np.ndarray, a: float) -> np.ndarray:
-    """t * log(a / t) extended by continuity with 0 log 0 := 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = t[pos] * (np.log(a) - np.log(t[pos]))
-    out[t < -1e-9] = -np.inf
-    return out
-
-
 # ---------------------------------------------------------------------------
 # potentials and divisors
 # ---------------------------------------------------------------------------
@@ -452,22 +442,25 @@ class ConcaveTransform:
 
 
 def _canonical_G(pot: CanonicalFamily, lam: float):
-    a = pot.a
+    """``scale * ½ Σ_i y_i log(a_i / y_i) + lam/2`` at ``y = (pts + shift) / scale``, ``y_0 = 1 - Σ y``.
+
+    One pass over the ``(N, d+1)`` coordinates, summed left to right from ``y_0``;
+    ``0 log 0 := 0`` on ``[-1e-9, 0]`` and ``-inf`` below it, outside the body.
+    """
+    log_a = np.log(np.asarray(pot.a, dtype=float))
     scale = pot.scale
     shift = np.asarray(pot.shift)
 
-    def ent(y):
-        # y: (..., d) normalized body point; y0 appended
-        y = np.asarray(y, dtype=float)
-        y0 = 1.0 - y.sum(axis=-1)
-        total = _xlog(y0, a[0])
-        for i in range(1, len(a)):
-            total = total + _xlog(y[..., i - 1], a[i])
-        return 0.5 * total
-
     def G(pts):
         y = (pts + shift) / scale
-        return scale * ent(y) + lam / 2.0
+        t = np.concatenate([1.0 - y.sum(axis=-1, keepdims=True), y], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = t * (log_a - np.log(t))
+        terms = np.where(t > 0.0, terms, np.where(t < -1e-9, -np.inf, 0.0))
+        total = terms[:, 0]
+        for i in range(1, terms.shape[1]):
+            total = total + terms[:, i]
+        return scale * (0.5 * total) + lam / 2.0
 
     return G
 
@@ -531,21 +524,22 @@ def _positive_interval_1d(transform: ConcaveTransform, tol: float = 1e-13):
     """Support of the positive part of a 1-d transform (closure).
 
     Concavity pins the structure: a single interval around the maximizer,
-    with endpoints found by bisection toward the body ends.
+    with both endpoints found together by Brent's method toward the body ends.
     """
     dom = transform.domain
     lo = float(dom.vertices[:, 0].min())
     hi = float(dom.vertices[:, 0].max())
-    f = lambda x: float(transform(x))
     x_star = float(np.clip(transform.argmax()[0], lo, hi))
-    f_star = f(x_star)
+    f_lo, f_hi, f_star = transform.values_on([lo, hi, x_star]).tolist()
     if f_star <= 0.0:
         if f_star == 0.0:
             return (x_star, x_star)
         return None
-    left = lo if f(lo) >= 0.0 else brentq(f, lo, x_star, xtol=tol)
-    right = hi if f(hi) >= 0.0 else brentq(f, x_star, hi, xtol=tol)
-    return (left, right)
+    ends = [(lo, x_star, f_lo, f_star), (x_star, hi, f_star, f_hi)]
+    inside = [f_lo >= 0.0, f_hi >= 0.0]      # an end with G >= 0 is its own endpoint
+    roots = iter(convexcore.brent_roots(transform.values_on,
+                                        [e for e, ok in zip(ends, inside) if not ok], tol))
+    return (lo if inside[0] else next(roots), hi if inside[1] else next(roots))
 
 
 def positive_region(dv: ToricArithDivisor) -> Region:

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from arithvol import cli
 from arithvol.cli import main
 from arithvol.divisor import divisor_from_record
 
@@ -244,6 +245,25 @@ class TestExitCodes:
                      "--mu", "hyperplane:1:0", "--out", str(tmp_path)]) == 3
         assert main(["--command", "zariski", "--divisor", div_nonbig,
                      "--out", str(tmp_path)]) == 3
+
+    def test_parser_keeps_no_state_between_calls(self, div22, tmp_path):
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["--command", "vol-base", "--divisor", div22,
+                     "--mu", "hyperplane:1:0.5", "--out", out1]) == 0
+        assert main(["--command", "vol-base", "--divisor", div22, "--out", out2]) == 0
+        assert read_results(out1)["conditions"] == [["hyperplane", 1, 0.5]]
+        assert read_results(out2)["conditions"] == []
+        assert main(["--command", "vol", "--divisor", div22, "--bogus"]) == 2
+        assert main(["--command", "vol", "--divisor", div22, "--grid", "x"]) == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_result_is_a_tolerance_failure(self, div22, tmp_path, value,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(cli, "vol_hat", lambda dv: value)
+        out = tmp_path / "out"
+        assert main(["--command", "vol", "--divisor", div22, "--out", str(out)]) == 4
+        assert "tolerance failure" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
 
     def test_module_entry_point(self, div22, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "arithvol",

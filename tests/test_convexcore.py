@@ -9,14 +9,14 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from arithvol import convexcore
-from arithvol.convexcore import (GridConvexFunction, Region, conjugate_points_2d,
+from arithvol.convexcore import (GridConvexFunction, Region, brent_roots, conjugate_points_2d,
                                  conjugate_value, constrained_convex_minorant, convex_hull,
                                  discrete_convexity_defect, full_region, golden_max,
                                  grid_function_from_callable,
                                  integrate_positive_part, legendre_conjugate,
                                  shifted_simplex, sliced_interior_nonempty,
                                  sliced_interior_witness)
-from arithvol.divisor import canonical_divisor, sampled_from_divisor
+from arithvol.divisor import canonical_divisor, concave_transform, sampled_from_divisor
 from arithvol.errors import (InfeasibleError, InputError,
                              UnboundedSupremumError)
 from conftest import random_full_dim_polytope
@@ -502,6 +502,114 @@ class TestGoldenMax:
         golden_max(fun, 0.0, 1.0, xtol=1e-3)
         # four start evaluations plus one per step until the bracket is < xtol
         assert len(calls) == 4 + math.ceil(math.log(1e-3) / math.log((math.sqrt(5) - 1) / 2))
+
+
+def _brent_one(fun, a, b, xtol=1e-14):
+    """``brent_roots`` on one bracket, with the end values read here."""
+    return brent_roots(fun, [(a, b, float(fun(a)), float(fun(b)))], xtol)[0]
+
+
+def _cubic(c):
+    return lambda x: (x - c[0]) * (x - c[1]) * (x - c[2]) + c[3]
+
+
+def _smooth(c):
+    return lambda x: np.sin(3.0 * x + c[0]) + c[1] * x - c[2]
+
+
+class TestBrentRoots:
+    """Each root is scipy's ``brentq`` root bit for bit, compared with ``==``."""
+
+    @pytest.mark.parametrize("family", [_cubic, _smooth])
+    def test_random_brackets_equal_brentq(self, family, rng):
+        compared = 0
+        for _ in range(400):
+            f = family(rng.uniform(-1.0, 1.0, 4).tolist())
+            a, b = rng.uniform(-2.0, 2.0, 2).tolist()
+            xtol = float(rng.choice([1e-14, 1e-13, 2e-12, 1e-6]))
+            if (f(a) > 0) == (f(b) > 0):
+                continue
+            assert _brent_one(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+            compared += 1
+        assert compared > 100
+
+    def test_minus_inf_end_value(self):
+        # a concave transform reads -inf outside its body
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(invalid="ignore"):
+                out = np.where(x < 0.0, -np.inf, np.sqrt(np.abs(x)) - 0.3)
+            return out if out.ndim else float(out)
+        for a, b in ((-0.5, 0.4), (-1e-3, 2.0), (0.9, -0.25)):
+            assert _brent_one(f, a, b) == brentq(f, a, b, xtol=1e-14)
+
+    def test_zero_end_value_returns_that_end_without_a_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        assert brent_roots(f, [(0.5, 1.0, 0.0, 0.5), (0.0, 0.5, -0.5, 0.0)], 1e-14) == [0.5, 0.5]
+        assert brentq(f, 0.5, 1.0) == 0.5 and brentq(f, 0.0, 0.5) == 0.5
+        assert brent_roots(f, [(0.5, 1.0, -0.0, 0.5)], 1e-14) == [0.5]
+        assert len(calls) == 4          # brentq's own end reads only
+
+    def test_sign_error_and_nan_raise(self):
+        f = lambda x: x - 0.5
+        with pytest.raises(ValueError, match="different signs"):
+            brent_roots(f, [(0.6, 1.0, 0.1, 0.5)], 1e-14)
+        with pytest.raises(ValueError, match="different signs"):   # signs, not a product that underflows
+            brent_roots(f, [(0.6, 1.0, 1e-200, 1e-200)], 1e-14)
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: 1e-200, 0.6, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            brent_roots(f, [(0.0, 1.0, math.nan, 0.5)], 1e-14)
+        with pytest.raises(ValueError, match="NaN"):
+            brent_roots(lambda x: np.full(np.shape(x), math.nan), [(0.0, 1.0, -0.5, 0.5)], 1e-14)
+
+    def test_underflowing_steps_keep_ieee_division(self):
+        # values near 1e-160 underflow the extrapolation's denominator to 0.0,
+        # where C divides to inf or nan and falls back to bisection
+        for c in (-0.7, 0.13, 0.55):
+            f = lambda x: 1e-160 * ((x - c) ** 3 + 0.1 * (x - c))
+            assert _brent_one(f, -1.0, 1.3) == brentq(f, -1.0, 1.3, xtol=1e-14)
+
+    def test_brackets_run_together_equal_single_runs(self):
+        f = _cubic([0.2, -1.1, 1.4, 0.05])
+        brackets = [(-2.0, -0.5), (-0.5, 0.8), (0.8, 3.0)]
+        sizes = []
+
+        def counted(x):
+            sizes.append(len(x))
+            return f(x)
+
+        both = brent_roots(counted, [(a, b, f(a), f(b)) for a, b in brackets], 1e-14)
+        assert both == [_brent_one(f, a, b) for a, b in brackets]
+        assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
+        rounds = [brentq(f, a, b, xtol=1e-14, full_output=True)[1].iterations for a, b in brackets]
+        assert len(sizes) == max(rounds) - 1
+        assert brent_roots(counted, [], 1e-14) == []
+
+    def test_slice_support_reads_probes_once_and_both_ends_together(self):
+        # a 2-d canonical slice whose positive part ends inside the slice on both sides
+        transform = concave_transform(canonical_divisor([1, 2, 4], twist=-1.8))
+        x1, lo, hi, probes = 0.3, 0.0, 0.7, 129
+        calls = []
+
+        def g(y):
+            calls.append(len(y))
+            return transform(np.column_stack([np.full(len(y), x1), y]))
+
+        a, b = convexcore._positive_support(g, lo, hi, probes)
+        scalar = lambda y: float(transform((x1, y)))
+        xs = np.linspace(lo, hi, probes)
+        k_a, k_b = np.searchsorted(xs, a), np.searchsorted(xs, b)
+        runs = [brentq(scalar, xs[k - 1], xs[k], xtol=1e-14, full_output=True) for k in (k_a, k_b)]
+        assert lo < a < b < hi
+        assert (a, b) == (runs[0][0], runs[1][0])
+        assert calls[0] == probes
+        assert len(calls) <= 2 + max(r.iterations for _, r in runs)
 
 
 # ---------------------------------------------------------------------------

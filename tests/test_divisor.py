@@ -381,6 +381,87 @@ class TestConcaveTransform:
         assert abs(vols[0] - vols[1]) < 1e-6
 
 
+def _xlog_old(t, a):
+    """The former per-coordinate kernel: ``t log(a / t)``, ``0 log 0 := 0``, ``-inf`` below -1e-9."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0.0
+    out[pos] = t[pos] * (np.log(a) - np.log(t[pos]))
+    out[t < -1e-9] = -np.inf
+    return out
+
+
+def _canonical_old(pot, lam, pts):
+    """The former canonical transform, one ``_xlog_old`` per coordinate, summed from ``y_0``."""
+    y = (pts + np.asarray(pot.shift)) / pot.scale
+    total = _xlog_old(1.0 - y.sum(axis=-1), pot.a[0])
+    for i in range(1, len(pot.a)):
+        total = total + _xlog_old(y[..., i - 1], pot.a[i])
+    return pot.scale * (0.5 * total) + lam / 2.0
+
+
+def _body_points(d, rng):
+    """Normalized points ``y`` (rows of ``y_1..y_d``) inside and on the simplex, then 40 outside."""
+    inside = rng.dirichlet(np.ones(d + 1), size=40)
+    vertices = np.eye(d + 1)
+    edge = np.eye(d + 1) * (1.0 + np.linspace(1e-10, 9e-10, d + 1))
+    edge[:, 0] = 1.0 - edge[:, 1:].sum(axis=1)    # y_0 in (-1e-9, 0] off the first vertex
+    near = inside.copy()
+    near[:, 1] = -rng.uniform(0.0, 1e-9, len(near))
+    near[:, 0] = 1.0 - near[:, 1:].sum(axis=1)
+    outside = inside.copy()
+    outside[:, -1] = -rng.uniform(1e-8, 0.5, len(outside))
+    return np.vstack([inside, vertices, edge, near, outside])[:, 1:]
+
+
+class TestCanonicalKernel:
+    """The one-pass canonical kernel equals the former per-coordinate formula with ``==``."""
+
+    @pytest.mark.parametrize("a", [[2.0, 3.0], [1.0, 2.0, 4.0], [0.3, 1.7, 0.9, 2.2],
+                                   [0.3, 1.7, 0.9, 2.2, 1.1, 0.6, 1.4, 0.8, 2.0]])
+    def test_equals_per_coordinate_formula(self, a, rng):
+        # d = 8 has 9 terms, where numpy's pairwise sum would leave the left-to-right order
+        d = len(a) - 1
+        y = _body_points(d, rng)
+        base = canonical_divisor(a, twist=0.37)
+        for dv in (base, scale_divisor(base, 2.5),
+                   principal_twist(base, ([0.25, -0.5, 0.125, 0.0] * 2)[:d])):
+            pot = dv.potential
+            pts = y * pot.scale - np.asarray(pot.shift)
+            got = concave_transform(dv).values_on(pts)
+            ref = _canonical_old(pot, dv.twist, pts)
+            assert np.array_equal(got, ref)
+            assert np.isfinite(got[:-40]).all() and np.isneginf(got[-40:]).all()
+            assert [concave_transform(dv).values_on(p)[0] for p in pts] == got.tolist()
+
+
+def _positive_interval_old(transform, tol=1e-13):
+    """The former 1-d support search: scalar reads and one ``brentq`` per end."""
+    lo = float(transform.domain.vertices[:, 0].min())
+    hi = float(transform.domain.vertices[:, 0].max())
+    f = lambda x: float(transform(x))
+    x_star = float(np.clip(transform.argmax()[0], lo, hi))
+    f_star = f(x_star)
+    if f_star <= 0.0:
+        return (x_star, x_star) if f_star == 0.0 else None
+    left = lo if f(lo) >= 0.0 else brentq(f, lo, x_star, xtol=tol)
+    right = hi if f(hi) >= 0.0 else brentq(f, x_star, hi, xtol=tol)
+    return (left, right)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: canonical_divisor([2.0, 3.0], twist=-1.2),
+    lambda: canonical_divisor([0.5, 1.5], twist=0.4),
+    lambda: scale_divisor(canonical_divisor([1.0, 0.2], twist=-0.1), 3.0),
+    lambda: add_divisors(canonical_divisor([0.5, 1.5]), canonical_divisor([2.0, 0.3], twist=-2.0)),
+    lambda: _sampled([2.0, 3.0], twist=-1.0, n=501),
+    lambda: canonical_divisor([0.25, 0.25]),
+])
+def test_positive_interval_1d_equals_scalar_brentq(make):
+    transform = concave_transform(make())
+    assert divisor._positive_interval_1d(transform) == _positive_interval_old(transform)
+
+
 class TestThetaRegion:
     def test_full_interval(self):
         region = positive_region(canonical_divisor([2, 2]))
