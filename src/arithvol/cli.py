@@ -199,7 +199,7 @@ def run(args) -> int:
         mu_checks = zariski.check_multiplicity_identity(dv, dec)
         report = zariski.decomposition_record(dv, dec, verification, mu_checks)
         _write_json(os.path.join(out_dir, "zariski_report.json"), report)
-        result["method"] = "golden-section+minorant"
+        result["method"] = "positive-interval+minorant"
         result["vol_input"] = verification["vol_input"]
         result["vol_positive"] = verification["vol_positive"]
         result["pass"] = report["pass"]

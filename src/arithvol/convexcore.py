@@ -508,14 +508,6 @@ def legendre_conjugate(u: GridConvexFunction, x_domain: Polytope,
     return GridConvexFunction(axes=(x1, x2), values=vals, recession=rec, mask=mask)
 
 
-def conjugate_value(u: GridConvexFunction, x, refine: bool = True) -> float:
-    """Conjugate of a 1-d grid function at a single slope ``x``."""
-    rlo, rhi = u.recession[0]
-    if x < rlo - 1e-9 or x > rhi + 1e-9:
-        raise UnboundedSupremumError(f"x={x:.6g} outside recession slopes [{rlo:.6g}, {rhi:.6g}]")
-    return float(_conjugate_1d(u.axes[0], u.values, np.array([float(x)]), refine)[0])
-
-
 def _slope_clip_minorant(s: np.ndarray, vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Greatest convex minorant with slopes in [lo, hi] of convex samples.
 
@@ -776,10 +768,6 @@ class Region:
         res = linprog(np.zeros(self.base.dim), A_ub=normals, b_ub=offsets,
                       bounds=[(None, None)] * self.base.dim, method="highs")
         return not res.success
-
-
-def full_region(p: Polytope) -> Region:
-    return Region(base=p)
 
 
 def _positive_support(fun, lo, hi, probes):

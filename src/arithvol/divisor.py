@@ -341,7 +341,7 @@ def add_divisors(a: ToricArithDivisor, b: ToricArithDivisor) -> ToricArithDiviso
 # concave transform
 # ---------------------------------------------------------------------------
 
-def _entropy_slice_max(a_params, subset, t, c0_norm=1.0):
+def _entropy_slice_max(a_params, subset, t):
     """max of the normalized entropy form on the slice ``sum_{i in S} y_i = t``.
 
     Closed form: grouping the simplex coordinates into S and its complement
@@ -350,14 +350,14 @@ def _entropy_slice_max(a_params, subset, t, c0_norm=1.0):
     a_in = sum(a_params[i] for i in subset)
     a_out = sum(a_params[i] for i in range(len(a_params)) if i not in subset)
     t = float(t)
-    if t < -1e-12 or t > c0_norm + 1e-12:
+    if t < -1e-12 or t > 1.0 + 1e-12:
         return -np.inf
-    t = min(max(t, 0.0), c0_norm)
+    t = min(max(t, 0.0), 1.0)
     val = 0.0
     if t > 0:
         val += t * math.log(a_in / t)
-    if c0_norm - t > 0:
-        val += (c0_norm - t) * math.log(a_out / (c0_norm - t))
+    if 1.0 - t > 0:
+        val += (1.0 - t) * math.log(a_out / (1.0 - t))
     return 0.5 * val
 
 

@@ -1,16 +1,17 @@
 """Zariski decompositions on the arithmetic surface (relative dimension 1).
 
 The positive-part candidates are rotation-invariant divisors
-``e_0 H_0 + e_1 H_1`` with a Green potential ``h(log|z|^2)``; a candidate is
-nef-certified by convexity, the slope window ``[-e_1, e_0]``, the barrier
-``h(s) >= max(-e_1 s, e_0 s)`` and sampled heights.  The solver searches
-negative-part coefficients ``(delta_0, delta_1)`` by nested golden section,
-maximizing the candidate volume; for each feasible pair the optimal
+``e_0 H_0 + e_1 H_1`` with a Green potential ``h(log|z|^2)``.  A
+semipositive toric divisor is nef iff its roof function, here the concave
+transform ``G``, is ``>= 0`` on its polytope (Burgos Gil, Moriwaki,
+Philippon and Sombra, *Arithmetic positivity on toric varieties*,
+J. Algebraic Geom. 25 (2016)).  So the greatest nef minorant of a big
+divisor restricts ``G`` to its positive interval, and the negative part's
+coefficients on the two sections are the asymptotic multiplicities there
+(Moriwaki, *Zariski decompositions on arithmetic surfaces*, Publ. RIMS 48
+(2012)).  The solver reads both off the positive interval; the positive
 potential is the slope-constrained greatest convex minorant of the input
-Green function, whose transform is exactly the input transform restricted
-to ``[delta_1, e_0]``.  That restriction identity is what the inner search
-evaluates; the returned decomposition is built through the grid minorant
-and re-verified.
+Green function, and the decomposition is re-verified.
 
 The nef certificate is sampled-necessary only: the nef condition quantifies
 over all integral curves and no finite criterion is available, so every
@@ -27,11 +28,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convexcore import (GridConvexFunction, Region, constrained_convex_minorant,
-                         convex_hull, golden_max, integrate_positive_part,
-                         legendre_conjugate, pl_positive_integral)
+                         convex_hull, integrate_positive_part, legendre_conjugate,
+                         pl_positive_integral)
 from .divisor import (BaseCondition, ToricArithDivisor, concave_transform,
-                      is_big, mu_R, principal_twist, sampled_from_divisor,
-                      vol_hat, _positive_interval_1d)
+                      is_big, mu_R, sampled_from_divisor, vol_hat,
+                      _positive_interval_1d)
 from .errors import (BignessRequiredError, ConsistencyError, InfeasibleError,
                      InputError, ToleranceError)
 
@@ -62,9 +63,6 @@ class RotInvariantDivisor:
     def vertical_shift(self) -> float:
         return sum(g * math.log(p) for p, g in self.vertical)
 
-    def green(self, s):
-        return self.potential(s)
-
 
 def rot_from_toric(dv: ToricArithDivisor, s_range: float = 40.0, n: int = 2001) -> RotInvariantDivisor:
     """Surface form of a relative-dimension-1 toric divisor (twist folded in)."""
@@ -85,12 +83,14 @@ def _transform_grid(m: RotInvariantDivisor, resolution: int = 2001):
     return conj.axes[0], -0.5 * conj.values
 
 
+def _grid_vol(x, g) -> float:
+    return 0.0 if len(x) == 1 else 2.0 * pl_positive_integral(x, g)
+
+
 def vol_rot(m: RotInvariantDivisor, resolution: int = 2001) -> float:
     """Arithmetic volume of a surface divisor through its transform grid."""
     x, g = _transform_grid(m, resolution)
-    if len(x) == 1:
-        return 0.0
-    return 2.0 * pl_positive_integral(x, g + m.vertical_shift())
+    return _grid_vol(x, g + m.vertical_shift())
 
 
 # ---------------------------------------------------------------------------
@@ -194,95 +194,54 @@ class Decomposition:
     provenance: dict
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _interval_vol(transform, a: float, b: float) -> float:
-    """2 * integral of the transform over [a, b] (64-point Gauss-Legendre)."""
-    if b <= a:
-        return 0.0
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    pts = mid + half * _GL_NODES
-    vals = np.asarray(transform(pts), dtype=float)
-    return 2.0 * half * float(_GL_WEIGHTS @ vals)
-
-
 def greatest_nef_minorant(dv: ToricArithDivisor, resolution: int = 2001,
                           tol: float = DEFAULT_VOL_TOL) -> Decomposition:
     """Unique Zariski decomposition of a big surface divisor.
 
-    Nef inputs short-circuit to a zero negative part.  Otherwise the
-    negative coefficients are located by nested golden section on the
-    candidate volume (the transform restricted to the candidate window);
-    the positive potential is the slope-constrained convex minorant above
-    the nef barrier.  The positive part carries no vertical component; a
-    perturbation probe recorded in the provenance confirms per run that
-    vertical fibers cannot help.
+    The positive part is ``G`` cut to its positive interval ``[x_lo, x_hi]``
+    in the body ``[-c_1, c_0]``, since a semipositive toric divisor is nef
+    iff its roof function is ``>= 0`` (Burgos Gil-Moriwaki-Philippon-Sombra,
+    J. Algebraic Geom. 2016).  So the negative coefficients are
+    ``delta_1 = x_lo + c_1`` and ``delta_0 = c_0 - x_hi``, the multiplicities
+    :func:`mu_R` at the two sections (Moriwaki, Publ. RIMS 2012).  Inputs
+    with ``G >= -1e-13`` at both body ends short-circuit to an exactly zero
+    negative part.  The positive potential is the convex minorant with
+    slopes in the interval, above the nef barrier.  It carries no vertical
+    component; a perturbation probe recorded in the provenance confirms per
+    run that vertical fibers cannot help.
     """
     if dv.d != 1:
         raise InputError("the decomposition solver works on the surface (d = 1)")
     if not is_big(dv):
         raise BignessRequiredError("Zariski decomposition computed for big divisors only")
 
-    shift_back = dv.coeffs[1]
-    base = principal_twist(dv, [-shift_back]) if shift_back != 0.0 else dv
-    c0 = base.coeffs[0]
-    transform = concave_transform(base)
+    c0, c1 = dv.coeffs
+    transform = concave_transform(dv)
     iv = _positive_interval_1d(transform)
     if iv is None:
         raise InfeasibleError("positive region empty for a big divisor (tolerance breakdown)")
-    x_lo, x_hi = iv
+    g_lo, g_hi = transform.values_on([-c1, c0]).tolist()
+    nef_input = g_lo >= -1e-13 and g_hi >= -1e-13
+    delta0, delta1 = (0.0, 0.0) if nef_input else (c0 - iv[1], iv[0] + c1)
 
-    g_at = lambda x: float(transform(float(np.clip(x, 0.0, c0))))
-    nef_input = g_at(0.0) >= -1e-13 and g_at(c0) >= -1e-13
-
-    if nef_input:
-        delta0, delta1 = 0.0, 0.0
-    else:
-        def score(d0, d1):
-            # continuous merit: volume over the feasible clip of the window,
-            # penalized by the transform deficit at the window ends
-            e0 = c0 - d0
-            if e0 < d1:
-                return -1e9 * (d1 - e0 + 1.0)
-            viol = max(0.0, -g_at(d1)) + max(0.0, -g_at(e0))
-            lo = max(d1, x_lo)
-            hi = min(e0, x_hi)
-            return _interval_vol(transform, lo, hi) - viol
-
-        def best_inner(d0):
-            return golden_max(lambda t: score(d0, t), 0.0, max(c0 - d0, 0.0))
-
-        delta0, _ = golden_max(lambda t: best_inner(t)[1], 0.0, c0)
-        delta1, _ = best_inner(delta0)
-        if delta0 < 1e-7:
-            delta0 = 0.0
-        if delta1 < 1e-7:
-            delta1 = 0.0
-        # the window must stay inside the positive region: clip defensively
-        delta1 = max(delta1, x_lo if x_lo > 1e-12 else 0.0)
-        delta0 = max(delta0, c0 - x_hi if c0 - x_hi > 1e-12 else 0.0)
-
-    e0 = c0 - delta0
-    w = rot_from_toric(base, n=resolution)
+    e0, e1 = c0 - delta0, c1 - delta1
+    w = rot_from_toric(dv, n=resolution)
     s = w.potential.axes[0]
     if nef_input:
         h = w.potential
     else:
-        barrier = GridConvexFunction(axes=(s,), values=np.maximum(delta1 * s, e0 * s),
-                                     recession=((delta1, e0),))
-        h = constrained_convex_minorant(w.potential, delta1, e0, barrier=barrier)
-    positive = RotInvariantDivisor(e0=e0, e1=-delta1, potential=h)
+        barrier = GridConvexFunction(axes=(s,), values=np.maximum(-e1 * s, e0 * s),
+                                     recession=((-e1, e0),))
+        h = constrained_convex_minorant(w.potential, -e1, e0, barrier=barrier)
+    positive = RotInvariantDivisor(e0=e0, e1=e1, potential=h)
     neg_pot = GridConvexFunction(axes=(s,), values=w.potential.values - h.values,
                                  recession=((-delta1, delta0),))
     negative = RotInvariantDivisor(e0=delta0, e1=delta1, potential=neg_pot)
 
-    if shift_back != 0.0:
-        positive = _principal_twist_rot(positive, shift_back)
-
     vol_input = vol_hat(dv)
-    vol_pos = vol_rot(positive, resolution=resolution)
-    probe = _vertical_probe(positive, vol_pos)
+    x, g = _transform_grid(positive, resolution)
+    vol_pos = _grid_vol(x, g)
+    probe = _vertical_probe(x, g, vol_pos)
     prov = {"delta0": delta0, "delta1": delta1, "grid": resolution,
             "vol_input": vol_input, "vol_positive": vol_pos,
             "nef_short_circuit": nef_input, "vertical_probe": probe,
@@ -293,21 +252,13 @@ def greatest_nef_minorant(dv: ToricArithDivisor, resolution: int = 2001,
     return Decomposition(positive=positive, negative=negative, provenance=prov)
 
 
-def _principal_twist_rot(m: RotInvariantDivisor, k: float) -> RotInvariantDivisor:
-    s = m.potential.axes[0]
-    vals = m.potential.values - k * s
-    rec = ((m.potential.recession[0][0] - k, m.potential.recession[0][1] - k),)
-    return RotInvariantDivisor(e0=m.e0 - k, e1=m.e1 + k,
-                               potential=GridConvexFunction(axes=(s,), values=vals, recession=rec),
-                               vertical=m.vertical)
+def _vertical_probe(x, g, vol_pos: float, eps: float = 0.05) -> dict:
+    """Removing mass into a vertical fiber strictly loses volume.
 
-
-def _vertical_probe(positive: RotInvariantDivisor, vol_pos: float, eps: float = 0.05) -> dict:
-    """Removing mass into a vertical fiber strictly loses volume."""
-    perturbed = RotInvariantDivisor(e0=positive.e0, e1=positive.e1,
-                                    potential=positive.potential,
-                                    vertical=positive.vertical + ((2, -eps),))
-    vol_pert = vol_rot(perturbed)
+    The fiber over 2 with coefficient ``-eps`` shifts the positive part's
+    transform grid ``(x, g)`` by the constant ``-eps log 2``.
+    """
+    vol_pert = _grid_vol(x, g - eps * math.log(2))
     return {"eps": eps, "vol_delta": vol_pert - vol_pos,
             "cannot_help": vol_pert <= vol_pos + 1e-9}
 

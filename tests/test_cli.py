@@ -401,9 +401,9 @@ PINNED = {
          "e_max": "8.10283705223", "growth_constant": "1.4054650138"},
         {}),
     "zariski": (
-        {"method": "golden-section+minorant", "pass": True,
+        {"method": "positive-interval+minorant", "pass": True,
          "vol_input": "0.362987574374", "vol_positive": "0.362995391962"},
-        {"zariski_report.json": "2fda3f5980dff3d74f45697f22e2a014092eab3aed47158c8d7d4b70ec5f8892"}),
+        {"zariski_report.json": "da5b714b69baa153449fa2b91605c65db8ec8a760646af47f92d0e65a066b745"}),
     "sampled_d2_vol": (
         {"method": "grid+quadrature", "value": "1.11445932991"}, {}),
     "sampled_d2_mu": (

@@ -10,8 +10,8 @@ from scipy.optimize import brentq
 
 from arithvol import convexcore
 from arithvol.convexcore import (GridConvexFunction, Region, brent_roots, conjugate_points_2d,
-                                 conjugate_value, constrained_convex_minorant, convex_hull,
-                                 discrete_convexity_defect, full_region, golden_max,
+                                 constrained_convex_minorant, convex_hull,
+                                 discrete_convexity_defect, golden_max,
                                  grid_function_from_callable,
                                  integrate_positive_part, legendre_conjugate,
                                  shifted_simplex, sliced_interior_nonempty,
@@ -25,6 +25,11 @@ from conftest import random_full_dim_polytope
 def logistic_grid(a0=1.0, a1=1.0, s_range=40.0, n=2001):
     fun = lambda s: np.logaddexp(math.log(a0), math.log(a1) + s)
     return grid_function_from_callable(fun, -s_range, s_range, n, [(0.0, 1.0)])
+
+
+def conjugate_at(u, x, refine=True):
+    """The 1-d conjugate at the single slope ``x``: a one-point conjugation domain."""
+    return float(legendre_conjugate(u, convex_hull([[x]]), refine=refine).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +95,13 @@ class TestLegendreConjugate:
     def test_linear_conjugate_zero_at_slope(self):
         lam = 0.7
         u = grid_function_from_callable(lambda s: lam * s, -40, 40, 2001, [(lam, lam)])
-        assert conjugate_value(u, lam) == pytest.approx(0.0, abs=1e-12)
+        assert conjugate_at(u, lam) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_conjugate_unbounded_off_slope(self):
         lam = 0.7
         u = grid_function_from_callable(lambda s: lam * s, -40, 40, 2001, [(lam, lam)])
         with pytest.raises(UnboundedSupremumError):
-            conjugate_value(u, 0.9)
+            conjugate_at(u, 0.9)
         with pytest.raises(UnboundedSupremumError):
             legendre_conjugate(u, convex_hull([[0.2], [0.9]]))
 
@@ -108,7 +113,7 @@ class TestLegendreConjugate:
         expected = x * s_star - math.log(a0 + a1 * math.exp(s_star))
         assert expected == pytest.approx(-math.log(2), abs=1e-12)
         u = logistic_grid(a0, a1)
-        assert conjugate_value(u, x) == pytest.approx(expected, abs=1e-8)
+        assert conjugate_at(u, x) == pytest.approx(expected, abs=1e-8)
 
     def test_biconjugation(self):
         # involutive to 1e-6 on slope windows with margin from the recession ends
@@ -202,7 +207,7 @@ class TestLinearTimeKernel:
         for refine in (True, False):
             for x in (lo, hi):
                 ref = brute_conjugate(u.axes[0], u.values, [x], refine)[1][0]
-                assert conjugate_value(u, x, refine=refine) == ref
+                assert conjugate_at(u, x, refine=refine) == ref
             assert_kernel_exact(u.axes[0], u.values, np.array([lo, hi]), refine)
 
     @pytest.mark.parametrize("a", [[0.25, 2.0], [0.3, 2.7], [2.5, 0.4]])
@@ -394,20 +399,20 @@ def entropy(x):
 
 class TestQuadrature:
     def test_zero(self):
-        region = full_region(convex_hull([[0.0], [1.0]]))
+        region = Region(base=convex_hull([[0.0], [1.0]]))
         assert integrate_positive_part(lambda x: np.zeros(np.shape(x)), region) == 0.0
 
     def test_entropy_quarter(self):
         # oracle: closed-form antiderivative of x log x
         closed = -2 * (-0.25) / 2   # int_0^1 -x log x dx = 1/4, both terms symmetric
         assert closed == ENTROPY_QUARTER
-        region = full_region(convex_hull([[0.0], [1.0]]))
+        region = Region(base=convex_hull([[0.0], [1.0]]))
         val = integrate_positive_part(entropy, region)
         assert val == pytest.approx(ENTROPY_QUARTER, abs=1e-8)
 
     def test_entropy_shifted(self):
         f = lambda x: entropy(x) + 0.5 * math.log(2)
-        region = full_region(convex_hull([[0.0], [1.0]]))
+        region = Region(base=convex_hull([[0.0], [1.0]]))
         val = integrate_positive_part(f, region)
         assert val == pytest.approx(ENTROPY_22, abs=1e-8)
 
@@ -437,12 +442,12 @@ class TestQuadrature:
                 w = np.where(pos, v, 1.0)
                 total = total + np.where(pos, w * np.log(a / w), 0.0)
             return 0.5 * total
-        region = full_region(shifted_simplex([1.0, 0.0, 0.0]))
+        region = Region(base=shifted_simplex([1.0, 0.0, 0.0]))
         val = 6 * integrate_positive_part(g, region)
         assert val == pytest.approx(1.5 * math.log(2) + 1.25, abs=1e-6)
 
     def test_grid_refinement_stability(self):
-        region = full_region(convex_hull([[0.0], [1.0]]))
+        region = Region(base=convex_hull([[0.0], [1.0]]))
         v1 = integrate_positive_part(entropy, region, rel_tol=1e-9)
         v2 = integrate_positive_part(entropy, region, rel_tol=1e-11)
         assert abs(v1 - v2) < 1e-6

@@ -1,14 +1,16 @@
 """Surface decompositions: solver, certificates, verifiers, probes."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from arithvol import cli, convexcore, divisor, zariski
 from arithvol.convexcore import GridConvexFunction
-from arithvol.divisor import (canonical_divisor, principal_twist,
-                              scale_divisor, positive_region, vol_hat,
-                              with_twist)
+from arithvol.divisor import (BaseCondition, canonical_divisor, divisor_from_record,
+                              mu_R, principal_twist, scale_divisor,
+                              positive_region, vol_hat, with_twist)
 from arithvol.errors import (BignessRequiredError, ConsistencyError,
                              InputError, ToleranceError)
 from arithvol.zariski import (Decomposition, RotInvariantDivisor,
@@ -22,6 +24,9 @@ from arithvol.zariski import (Decomposition, RotInvariantDivisor,
 
 LOG2 = math.log(2)
 X_MINUS_QTR2 = 0.3541060774351936   # left root of the (1/4, 2) transform
+H0 = BaseCondition("hyperplane", 0, 0.0)
+H1 = BaseCondition("hyperplane", 1, 0.0)
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def big_random_family(rng, count):
@@ -143,6 +148,68 @@ class TestGreatestNefMinorant:
             assert float(np.max(vals - w.potential.values)) <= 1e-9
             assert vol_rot(cand) <= vol_best + 1e-6
             count += 1
+
+
+def sampled_zariski_requests(monkeypatch):
+    """The zariski requests of blocks 0-1 of the sampled_grid benchmark, seeds 1-2."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    return [req for seed in (1, 2) for index in (0, 1)
+            for req in workloads.block("sampled_grid", seed, index) if req.command == "zariski"]
+
+
+class TestMultiplicityIdentity:
+    """The negative part's coefficients are the multiplicities at the two sections."""
+
+    def test_sampled_requests_exact(self, monkeypatch):
+        # nef inputs keep an exactly zero negative part, while mu_R measures
+        # from the body ends as convex_hull rounds them (within an ulp of -c1, c0)
+        reqs = sampled_zariski_requests(monkeypatch)
+        assert len(reqs) == 12
+        nef = 0
+        for req in reqs:
+            dv = divisor_from_record(req.record)
+            dec = greatest_nef_minorant(dv)
+            mu1, mu0 = mu_R(dv, H1), mu_R(dv, H0)
+            if dec.provenance["nef_short_circuit"]:
+                nef += 1
+                assert dec.negative.e1 == 0.0 and dec.negative.e0 == 0.0
+                assert abs(mu1) <= 1e-15 and abs(mu0) <= 1e-15
+            else:
+                assert dec.negative.e1 == mu1
+                assert dec.negative.e0 == mu0
+        assert nef == 2
+
+    def test_canonical_divisors(self):
+        rng = np.random.default_rng(77)      # criterion 07's divisors
+        divisors = []
+        while len(divisors) < 10:
+            a = rng.uniform(0.15, 3.0, size=2)
+            if a.sum() > 1.05:
+                divisors.append(canonical_divisor(a.tolist()))
+        for dv in divisors:
+            dec = greatest_nef_minorant(dv)
+            assert abs(dec.negative.e1 - mu_R(dv, H1)) <= 1e-12
+            assert abs(dec.negative.e0 - mu_R(dv, H0)) <= 1e-12
+
+    def test_non_nef_sampled_request_conjugates_three_times(self, monkeypatch, tmp_path):
+        reqs = sampled_zariski_requests(monkeypatch)
+        req = next(r for r in reqs
+                   if not greatest_nef_minorant(divisor_from_record(r.record))
+                   .provenance["nef_short_circuit"])
+        import workloads
+        workloads.write_block([req], str(tmp_path))
+        calls = []
+        conjugate = convexcore.legendre_conjugate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return conjugate(*args, **kwargs)
+
+        for module in (convexcore, divisor, zariski):
+            monkeypatch.setattr(module, "legendre_conjugate", counted)
+        assert cli.main(req.argv(str(tmp_path / "out"))) == 0
+        assert len(calls) <= 3
 
 
 class TestVerifiers:
