@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import oracle, zariski
-from .divisor import (BaseCondition, SampledConvex, ToricArithDivisor, canonical_divisor,
-                      concave_transform, divisor_from_record, divisor_record,
-                      filtration_summary, mu_R, mu_monotone_continuity_profile,
+from .divisor import (LATTICE_LIMIT, BaseCondition, SampledConvex, ToricArithDivisor,
+                      canonical_divisor, concave_transform, divisor_from_record,
+                      divisor_record, filtration_summary, mu_R, mu_monotone_continuity_profile,
                       profile_lipschitz, multiplicity_law_suite, vol_hat, vol_hat_base)
 from .errors import (ArithvolError, BignessRequiredError, InfeasibleError,
                      InputError, ToleranceError)
@@ -31,29 +33,45 @@ COMMANDS = ("vol", "vol-base", "body", "mu", "mu-profile", "e-range",
             "zariski", "oracle-check", "prop-suite")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+def _float_token(tok: str) -> str:
+    """JSON text of a ``%.12g`` token: ``repr`` of its float, finite only."""
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return repr(value)
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` with floats at 12 digits."""
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        items = [inner + encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+        sep = ",\n" + inner
+        if set(map(type, obj)) == {float}:
+            # %.12g text is repr's but for tokens without a dot, e+12..e+15, subnormals, nan, inf
+            text = sep.join(["%.12g"] * len(obj)) % tuple(obj)
+            if text.count(".") != len(obj) or "n" in text or "e+1" in text or "e-3" in text:
+                text = sep.join(map(_float_token, text.split(sep)))
+        else:
+            text = sep.join([_json_text(v, inner) for v in obj])
+        return "[\n" + inner + text + "\n" + indent + "]" if obj else "[]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float_token("%.12g" % obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, payload: dict):
     try:
-        text = json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False)
+        text = _json_text(payload)
     except ValueError as exc:
         raise ToleranceError(f"{os.path.basename(path)}: {exc}") from None
     with open(path, "w") as fh:
@@ -64,7 +82,7 @@ def _write_table(path: str, rows, header):
     with open(path, "w") as fh:
         fh.write("# " + "\t".join(header) + "\n")
         for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+            fh.write("\t".join(["%.12g"] * len(row)) % tuple(row) + "\n")
 
 
 def _parse_mu(text: str) -> BaseCondition:
@@ -128,23 +146,24 @@ def run(args) -> int:
     result = {"command": args.command, "seed": args.seed, "grid": args.grid,
               "tol": args.tol, "divisor": divisor_record(dv)}
 
-    if args.command == "vol":
-        result["value"] = vol_hat(dv)
-        result["method"] = _method_tag(dv)
-        table = _transform_table(dv, min(args.grid, 2001))
-        if table:
-            _write_table(os.path.join(out_dir, "transform.tsv"), table, ("x", "G"))
+    if args.command in ("mu", "mu-profile") and not conditions:
+        raise InputError(f"the {args.command} command needs a --mu center")
 
-    elif args.command == "vol-base":
-        result["value"] = vol_hat_base(dv, conditions)
+    if args.command in ("vol", "vol-base"):
+        if args.command == "vol":
+            result["value"] = vol_hat(dv)
+        else:
+            result["value"] = vol_hat_base(dv, conditions)
+            result["conditions"] = [[c.kind, c.index, c.bound] for c in conditions]
         result["method"] = _method_tag(dv)
-        result["conditions"] = [[c.kind, c.index, c.bound] for c in conditions]
         table = _transform_table(dv, min(args.grid, 2001))
         if table:
             _write_table(os.path.join(out_dir, "transform.tsv"), table, ("x", "G"))
 
     elif args.command == "body":
         level = 6 if args.level is None else args.level
+        if math.comb(max(level * round(dv.coeffs[0]), 0) + dv.d, dv.d) ** 2 > LATTICE_LIMIT:
+            raise InputError(f"level {level} pairs more than {LATTICE_LIMIT:,} monomials")
         series = full_series(dv.d, level, degree=int(round(dv.coeffs[0])))
         if conditions:
             filtered = []
@@ -166,16 +185,12 @@ def run(args) -> int:
                      [tuple(v) for v in body.vertices], tuple(f"x{i+1}" for i in range(dv.d)))
 
     elif args.command == "mu":
-        if not conditions:
-            raise InputError("the mu command needs a --mu center")
         center = conditions[0]
         result["value"] = mu_R(dv, center)
         result["method"] = _method_tag(dv)
         result["center"] = [center.kind, center.index]
 
     elif args.command == "mu-profile":
-        if not conditions:
-            raise InputError("the mu-profile command needs a --mu center")
         lo, hi = _parse_list(args.twist_range, "--twist-range", float, ":", 2)
         grid = np.linspace(lo, hi, min(args.grid, 501))
         profile = mu_monotone_continuity_profile(dv, grid, conditions[0])

@@ -176,6 +176,9 @@ def convex_hull(points: Sequence) -> Polytope:
         normals = a_red @ basis
         offsets = -b_red + normals @ center
         normals, offsets = _dedupe_halfspaces(normals, offsets)
+        # qhull can keep a point lying on one facet; a vertex is tight on ``rank`` facets
+        tight = np.abs(verts @ normals.T - offsets) <= GEOM_TOL * (1.0 + np.abs(offsets))
+        verts = verts[tight.sum(axis=1) >= rank]
 
     verts = _canonical_vertices(np.asarray(verts, dtype=float))
     return Polytope(dim=dim, vertices=verts, normals=normals, offsets=offsets,

@@ -45,6 +45,8 @@ DEFAULT_S_RANGE = 40.0
 DEFAULT_GRID_1D = 2001
 DEFAULT_GRID_2D = 257
 BIGNESS_TOL = 1e-12
+MAX_COEFF = 1e6          # larger bodies overflow the hull and lattice arithmetic
+LATTICE_LIMIT = 10 ** 6  # lattice points one level may span
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,9 @@ def make_divisor(d: int, coeffs: Sequence[float], potential, twist: float = 0.0,
         raise InputError(f"relative dimension must be at least 1, got {d}")
     if len(coeffs) != d + 1:
         raise InputError(f"need {d + 1} hyperplane coefficients, got {len(coeffs)}")
-    if not _all_finite(coeffs + (twist,), potential):
-        raise InputError("coefficients, twist and potential must be finite numbers")
+    if not _all_finite(coeffs + (twist,), potential) or max(map(abs, coeffs)) > MAX_COEFF:
+        raise InputError("coefficients, twist and potential must be finite numbers, "
+                         f"coefficients at most {MAX_COEFF:g} in size")
     if isinstance(potential, CanonicalFamily):
         if potential.d != d:
             raise InputError("canonical family dimension mismatch")
@@ -661,10 +664,12 @@ def admissible_monomials(dv: ToricArithDivisor, n: int) -> np.ndarray:
         raise InputError("level must be >= 1")
     c = dv.coeffs
     lows = [math.ceil(-n * c[1 + i] - 1e-9) for i in range(dv.d)]
+    top = int(math.floor(n * sum(c) + 1e-9))
+    if math.prod(top + 1 - lo for lo in lows) > LATTICE_LIMIT:
+        raise InputError(f"level {n} spans more than {LATTICE_LIMIT:,} lattice points")
     if dv.d == 1:
         hi = math.floor(n * c[0] + 1e-9)
         return np.arange(lows[0], hi + 1).reshape(-1, 1)
-    top = int(math.floor(n * sum(c) + 1e-9))
     grids = np.meshgrid(*(np.arange(lo, top + 1) for lo in lows), indexing="ij")
     ms = np.stack([g.ravel() for g in grids], axis=-1)
     return ms[ms.sum(axis=1) <= n * c[0] + 1e-9]
@@ -955,6 +960,8 @@ def divisor_from_record(rec: dict) -> ToricArithDivisor:
         elif kind == "sampled":
             values = np.asarray(pot["values"], dtype=float)
             s_min, s_max = float(pot["s_min"]), float(pot["s_max"])
+            if not math.isfinite(s_max - s_min):
+                raise InputError(f"sampled grid range [{s_min}, {s_max}] must be finite")
             width = sum(coeffs)
             rec_slopes = tuple((-coeffs[1 + i], width - coeffs[1 + i]) for i in range(d))
             if d == 1:

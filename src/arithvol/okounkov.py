@@ -68,23 +68,6 @@ def ord_lex(poly: Mapping, flag: ValuationFlag) -> tuple:
     return min(flag.apply(m) for m in support)
 
 
-def poly_mul(f: Mapping, g: Mapping) -> dict:
-    """Product of exponent-to-coefficient maps, dropping cancellations."""
-    out: dict = {}
-    for mf, cf in f.items():
-        for mg, cg in g.items():
-            key = tuple(a + b for a, b in zip(mf, mg))
-            out[key] = out.get(key, 0) + cf * cg
-    return {m: c for m, c in out.items() if c != 0}
-
-
-def poly_add(f: Mapping, g: Mapping) -> dict:
-    out = dict(f)
-    for m, c in g.items():
-        out[m] = out.get(m, 0) + c
-    return {m: c for m, c in out.items() if c != 0}
-
-
 def mult_first_coordinate(hyperplane_coeffs: Sequence[float], flag: ValuationFlag,
                           monomial: Optional[Sequence] = None) -> float:
     """First coordinate of the flag valuation of a toric divisor.

@@ -87,6 +87,8 @@ def _center_mult_of_section(dv: ToricArithDivisor, n: int, m, center: BaseCondit
     """
     c = dv.coeffs
     i = center.index
+    if center.kind != "fiber" and not 0 <= i <= dv.d:
+        raise InputError(f"{center.kind} index {i} out of range")
     if center.kind == "hyperplane":
         if i == 0:
             return n * c[0] - sum(m)

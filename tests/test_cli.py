@@ -6,9 +6,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithvol import cli
 from arithvol.cli import main
@@ -206,7 +208,15 @@ class TestExitCodes:
         {"d": 1, "coeffs": [1.0, 0.0], "twist": 0.0,
          "potential": {"kind": "sampled", "s_min": -1.0, "s_max": 1.0,
                        "values": [1.0, 0.5, math.inf]}},
-    ], ids=["inf-twist", "nan-twist", "inf-sampled-value"])
+        # np.linspace warned before the grid range was checked
+        {"d": 1, "coeffs": [1.0, 0.0], "twist": 0.0,
+         "potential": {"kind": "sampled", "s_min": -math.inf, "s_max": math.inf,
+                       "values": [1.0, 0.5, 1.0]}},
+        # the body's hull raised a QhullError (exit 1)
+        {"d": 2, "coeffs": [1e300, 0.0, 0.0], "twist": 0.0,
+         "potential": {"kind": "sampled", "s_min": -1.0, "s_max": 1.0,
+                       "values": [[1.0, 0.5, 1.0]] * 3}},
+    ], ids=["inf-twist", "nan-twist", "inf-sampled-value", "inf-grid-range", "huge-coeff"])
     @pytest.mark.parametrize("command", [["vol"], ["mu", "--mu", "hyperplane:1:0"]])
     def test_validation_error_non_finite(self, tmp_path, record, command, capsys):
         path = tmp_path / "bad.json"
@@ -238,6 +248,24 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["--command", "vol", "--divisor", str(path), "--out", str(out)]) == 2
         assert "3 nodes" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("coeffs, flags", [
+        ([1.0, 1.0, 1e6], ["--command", "e-range", "--level", "2"]),   # a 58 TiB meshgrid
+        ([1.0, 1.0, 1e6], ["--command", "oracle-check", "--levels", "1,2"]),
+        ([200.0, 0.0, 0.0], ["--command", "body", "--level", "2"]),     # ran over a minute
+        ([1.0, 0.0, 0.0], ["--command", "body", "--mu", "h:9:0"]),      # an IndexError
+    ], ids=["e-range", "oracle-check", "body", "body-mu-index"])
+    def test_validation_error_oversized_or_out_of_range(self, tmp_path, coeffs, flags, capsys):
+        s = np.linspace(-1.0, 1.0, 3)
+        values = np.logaddexp(0.0, np.logaddexp.outer(s, s))       # convex on a 3 x 3 grid
+        path = tmp_path / "d2.json"
+        path.write_text(json.dumps({"d": 2, "coeffs": coeffs, "twist": 0.0,
+                                    "potential": {"kind": "sampled", "s_min": -1.0,
+                                                  "s_max": 1.0, "values": values.tolist()}}))
+        out = tmp_path / "out"
+        assert main(flags + ["--divisor", str(path), "--out", str(out)]) == 2
+        assert "validation error" in capsys.readouterr().err
         assert not (out / "results.json").exists()
 
     def test_bigness_exit(self, div_nonbig, tmp_path):
@@ -428,3 +456,83 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED_REQUESTS))
 def test_pinned_outputs(name, tmp_path):
     assert pinned_outputs(name, tmp_path) == PINNED[name]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any record and any command end in a documented exit code, and every
+# JSON file written holds only finite numbers
+# ---------------------------------------------------------------------------
+
+_numbers = st.one_of(st.floats(0.05, 4.0),
+                     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e6, 1e300]))
+
+
+@st.composite
+def _fuzz_records(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["canonical", "sum", "sampled"]))
+    numbers = draw(st.sampled_from([_numbers, st.floats(0.05, 4.0)]))   # half the records valid
+    if kind == "canonical":
+        potential = {"kind": "canonical", "a": draw(st.lists(numbers, min_size=d + 1,
+                                                             max_size=d + 1))}
+    elif kind == "sum":
+        potential = {"kind": "sum", "parts": [
+            {"kind": "canonical", "a": draw(st.lists(numbers, min_size=d + 1, max_size=d + 1))}
+            for _ in range(2)]}
+    else:
+        nodes = draw(st.integers(1, 4))
+        s_range = draw(st.floats(0.5, 40.0))
+        if draw(st.booleans()):          # a convex sample, so that some grids pass validation
+            a = draw(st.lists(st.floats(0.1, 3.0), min_size=d + 1, max_size=d + 1))
+            grids = np.meshgrid(*[np.linspace(-s_range, s_range, nodes)] * d, indexing="ij")
+            values = np.full(grids[0].shape, math.log(a[0]))
+            for ai, g in zip(a[1:], grids):
+                values = np.logaddexp(values, math.log(ai) + g)
+            values = values.tolist()
+        else:
+            values = np.reshape(draw(st.lists(numbers, min_size=nodes ** d,
+                                              max_size=nodes ** d)), (nodes,) * d).tolist()
+        potential = {"kind": "sampled", "s_min": -s_range,
+                     "s_max": draw(st.just(s_range) | numbers), "values": values}
+    if numbers is _numbers and draw(st.booleans()):
+        coeffs = draw(st.lists(_numbers, min_size=d + 1, max_size=d + 1))
+    else:                                # the coefficients the potential implies
+        coeffs = [2.0 if kind == "sum" else 1.0] + [0.0] * d
+    return {"d": d, "coeffs": coeffs, "potential": potential,
+            "twist": draw(st.just(0.0) | numbers)}
+
+
+_FUZZ_FLAGS = {
+    "vol": [], "vol-base": [], "mu": [], "zariski": [], "prop-suite": ["--trials", "1"],
+    "body": ["--level", "2"], "e-range": ["--level", "2"],
+    "mu-profile": ["--twist-range", "0:1"], "oracle-check": ["--levels", "1,2"],
+}
+
+
+def _finite_float(text):
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def _reject_constant(text):
+    raise AssertionError(f"non-finite literal {text} written")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fuzz_records(), st.sampled_from(sorted(_FUZZ_FLAGS)), st.integers(1, 4),
+       st.lists(st.sampled_from(["hyperplane:1:0.2", "point:0:0.1", "fiber:3:0.05",
+                                 "hyperplane:0:1e300", "h:9:0", "pt:1:-1"]), max_size=2))
+def test_fuzz_exit_codes_and_finite_json(record, command, grid, mus):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh)           # NaN and Infinity literals included
+        out = os.path.join(tmp, "out")
+        argv = ["--command", command, "--divisor", path, "--grid", str(grid), "--out", out,
+                *_FUZZ_FLAGS[command], *(f for mu in mus for f in ("--mu", mu))]
+        assert main(argv) in (0, 2, 3, 4)
+        for name in (os.listdir(out) if os.path.isdir(out) else []):
+            if name.endswith(".json"):
+                with open(os.path.join(out, name)) as fh:
+                    json.load(fh, parse_float=_finite_float, parse_constant=_reject_constant)

@@ -14,7 +14,24 @@ from arithvol.okounkov import (MonomialSeries, ValuationFlag,
                                dim_via_valuations, filtered_series,
                                full_series, identity_flag,
                                mult_first_coordinate, okounkov_body, ord_lex,
-                               poly_add, poly_mul, semigroup_points)
+                               semigroup_points)
+
+
+def poly_mul(f, g):
+    """Product of exponent-to-coefficient maps, dropping cancellations."""
+    out = {}
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            key = tuple(a + b for a, b in zip(mf, mg))
+            out[key] = out.get(key, 0) + cf * cg
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def poly_add(f, g):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def random_poly(rng, d, n_terms=4, max_exp=6):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arithvol.convexcore import (convex_hull, grid_function_from_callable,
                                  legendre_conjugate)
@@ -19,6 +19,8 @@ big_pair = st.tuples(positive, positive).filter(lambda ab: ab[0] + ab[1] > 1.05)
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=3, max_size=15))
+@example([(0.0, 0.0), (0.0, 0.0), (0.0, 4.0), (3.5, 0.0), (-1.0, 2.0),
+          (-1.75, 1.707171799592941e-14)])   # (0, 0) sits on the bottom edge
 def test_hull_idempotent(points):
     p = convex_hull(np.asarray(points, dtype=float))
     again = convex_hull(p.vertices)
